@@ -2,7 +2,7 @@
 
 #include <unistd.h>
 
-#include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <sstream>
 #include <system_error>
@@ -10,7 +10,6 @@
 #include "obs/histogram.hpp"
 #include "obs/stats.hpp"
 #include "serve/hash.hpp"
-#include "serve/lockfile.hpp"
 #include "support/faultinject.hpp"
 #include "support/retry.hpp"
 
@@ -138,28 +137,15 @@ std::optional<UnitSummary> SummaryCache::load(std::string_view key) const {
   if (!unit) {
     // The entry exists but is unusable (corrupt, truncated, or written by a
     // different analyzer version). Evict it so a shared cache heals instead
-    // of re-validating the same junk forever — but serialize with other
-    // processes and re-check under the lock: a peer may have just renamed a
-    // fresh, valid entry into this path, and deleting that would throw away
-    // its work (and, worse, race its rename).
-    DirLock lock(dir_);
-    lock.acquire();
-    // Heartbeat: if this critical section runs long (slow disk, injected
-    // delay, a daemon resident for minutes), keep the lock's mtime fresh so
-    // a concurrent arac never mistakes a live holder for a dead one.
-    lock.start_heartbeat();
-    try {
-      unit = decode(read_file(path), key);
-    } catch (const fi::IoFault&) {
-      unit = std::nullopt;
-    }
-    if (!unit) {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-      stat_evictions.bump();
-      stat_misses.bump();
-      return std::nullopt;
-    }
+    // of re-validating the same junk forever. A plain unlink: if a peer has
+    // just renamed a fresh entry into this path, removing it costs that unit
+    // one re-analysis, never a wrong answer, because keys are content-
+    // addressed and every load re-validates what it reads.
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    stat_evictions.bump();
+    stat_misses.bump();
+    return std::nullopt;
   }
   stat_hits.bump();
   return unit;
@@ -181,44 +167,41 @@ bool SummaryCache::store(std::string_view key, const UnitSummary& unit) const {
      << "checksum " << Hasher().update(payload).hex() << '\n';
   const std::string entry = os.str();
 
-  // Atomic publish: never expose a half-written entry, even if the process
-  // dies mid-store. The temp name carries the pid so two processes storing
-  // the same key never scribble on each other's temp file (same key == same
-  // content, so either rename winning is fine).
+  // Atomic publish: a crash mid-store leaves at most an orphaned temp file,
+  // never a half-written entry. Concurrent stores of one key each rename
+  // their own complete file (same key == same content, so any rename may
+  // land last).
   const std::filesystem::path final_path = entry_path(key);
-  const std::filesystem::path tmp_path =
-      final_path.string() + ".tmp." + std::to_string(::getpid());
-
   const bool ok = support::retry_io(
       support::RetryPolicy{},
       [&] {
-        const std::size_t keep = fi::check_io("cache.write", key);  // may throw IoFault
-        const std::string_view bytes =
-            std::string_view(entry).substr(0, std::min(entry.size(), keep));
-        {
-          std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-          out << bytes;
-          if (!out) throw fi::IoFault("write failed: " + tmp_path.string());
-        }
-        if (bytes.size() != entry.size())
-          throw fi::IoFault("short write: " + tmp_path.string());
-        // Publish under the directory lock so an eviction in another
-        // process cannot interleave its validate-then-remove with our
-        // rename and delete the entry we just wrote.
-        DirLock lock(dir_);
-        lock.acquire();
-        lock.start_heartbeat();  // see load(): live holders are never stale
-        std::error_code rec;
-        std::filesystem::rename(tmp_path, final_path, rec);
-        if (rec) throw fi::IoFault("rename failed: " + final_path.string());
+        // An injected truncation is a short write: nothing is published.
+        if (fi::check_io("cache.write", key) < entry.size())  // may throw IoFault
+          throw fi::IoFault("short write: " + final_path.string());
+        if (!publish_file(final_path, entry))
+          throw fi::IoFault("publish failed: " + final_path.string());
         return true;
       },
       [](int) { stat_retries.bump(); });
-  if (!ok) {
-    std::filesystem::remove(tmp_path, ec);
+  if (!ok) return false;
+  stat_writes.bump();
+  return true;
+}
+
+bool publish_file(const std::filesystem::path& target, std::string_view bytes) {
+  static std::atomic<std::uint64_t> next_temp{0};
+  const std::filesystem::path tmp =
+      target.string() + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  std::error_code ec;
+  if (out) std::filesystem::rename(tmp, target, ec);
+  if (!out || ec) {
+    std::filesystem::remove(tmp, ec);
     return false;
   }
-  stat_writes.bump();
   return true;
 }
 

@@ -7,7 +7,9 @@
 // magic, wrong key or version, truncated payload, checksum failure,
 // unparsable summary — degrades to a miss, and a later store simply
 // overwrites the bad entry. Corruption is therefore self-healing and can
-// never crash the tool or poison its output.
+// never crash the tool or poison its output. No operation takes a lock:
+// entries are published by rename (publish_file) and evicted by unlink, so
+// processes and threads sharing a directory never wait on each other.
 #pragma once
 
 #include <filesystem>
@@ -54,7 +56,7 @@ class SummaryCache {
   /// hit/miss — and, for invalid entries, eviction — counters).
   [[nodiscard]] std::optional<UnitSummary> load(std::string_view key) const;
 
-  /// Writes an entry atomically (temp file + rename). Failures are
+  /// Writes an entry atomically through publish_file. Failures are
   /// non-fatal: the cache is an accelerator, not a correctness dependency.
   bool store(std::string_view key, const UnitSummary& unit) const;
 
@@ -62,5 +64,15 @@ class SummaryCache {
   std::filesystem::path dir_;
   bool enabled_ = false;
 };
+
+/// Publishes `bytes` at `target` without a lock: writes them to a temp file
+/// beside it whose name is unique to this call (`<target>.tmp.<pid>.<n>`,
+/// `n` from a per-process counter), then renames that over `target`.
+/// Concurrent publishers of one path, threads or processes, never share a
+/// temp file, so a reader always opens one publisher's complete bytes. Used
+/// for every file written into a cache directory (entries and `deps.map`).
+/// Returns false, with the temp file removed, when the write or the rename
+/// fails.
+bool publish_file(const std::filesystem::path& target, std::string_view bytes);
 
 }  // namespace ara::serve

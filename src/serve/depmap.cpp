@@ -7,6 +7,7 @@
 
 #include "ipa/summary_io.hpp"
 #include "obs/stats.hpp"
+#include "serve/cache.hpp"
 
 namespace ara::serve {
 
@@ -162,20 +163,7 @@ DepMap DepMap::load(const std::filesystem::path& cache_dir) {
 bool DepMap::store(const std::filesystem::path& cache_dir, const DepMap& map) {
   std::error_code ec;
   std::filesystem::create_directories(cache_dir, ec);
-  const std::filesystem::path final_path = path_in(cache_dir);
-  const std::filesystem::path tmp = final_path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << map.write();
-    if (!out.good()) return false;
-  }
-  std::filesystem::rename(tmp, final_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
+  return publish_file(path_in(cache_dir), map.write());
 }
 
 }  // namespace ara::serve

@@ -60,8 +60,9 @@ class DepMap {
   [[nodiscard]] static std::optional<DepMap> parse(std::string_view text);
 
   /// Load from / atomically store to `<cache_dir>/deps.map`. load() returns
-  /// an empty map when the file is absent or malformed; store() is
-  /// best-effort (the map is an accelerator, not a correctness dependency).
+  /// an empty map when the file is absent or malformed; store() publishes
+  /// through publish_file (no lock, no shared temp name) and is best-effort
+  /// (the map is an accelerator, not a correctness dependency).
   [[nodiscard]] static DepMap load(const std::filesystem::path& cache_dir);
   static bool store(const std::filesystem::path& cache_dir, const DepMap& map);
 

@@ -4,9 +4,10 @@
 // (accept, read, handle, respond, publish). The daemon must never crash and
 // every request must end in exactly one well-formed outcome: success, a
 // structured failure, or an overloaded/shutting_down shed. Then the crash
-// drill: kill -9 mid-analyze, restart on the same socket and cache dir, and
-// assert the socket is reclaimed, the stale lock is broken, and the warm
-// incremental path reproduces byte-identical artifacts.
+// drill: kill -9 while a cache store is in flight, restart on the same
+// socket and cache dir, and assert the socket is reclaimed, no partial entry
+// was published, and the warm incremental path reproduces byte-identical
+// artifacts.
 //
 // ARA_ARAD_BIN (a compile definition) points at the arad executable.
 #include <gtest/gtest.h>
@@ -104,16 +105,27 @@ std::string c_unit(const std::string& array, const std::string& proc) {
   return text;
 }
 
-std::string analyze_params(const std::string& project, const std::string& cache_dir = "") {
+/// `edit` is appended to both units' text, so an edited request misses the
+/// cache entries of an unedited one.
+std::string analyze_params(const std::string& project, const std::string& cache_dir = "",
+                           const std::string& edit = "") {
   std::ostringstream os;
   os << "{\"project\":\"" << project << "\",";
   if (!cache_dir.empty()) os << "\"cache_dir\":\"" << json::escape(cache_dir) << "\",";
   os << "\"sources\":["
      << "{\"name\":\"alpha.c\",\"lang\":\"c\",\"text\":\""
-     << json::escape(c_unit("a", "alpha")) << "\"},"
+     << json::escape(c_unit("a", "alpha") + edit) << "\"},"
      << "{\"name\":\"beta.c\",\"lang\":\"c\",\"text\":\""
-     << json::escape(c_unit("b", "beta")) << "\"}]}";
+     << json::escape(c_unit("b", "beta") + edit) << "\"}]}";
   return os.str();
+}
+
+std::size_t count_entries(const std::string& cache_dir) {
+  std::size_t n = 0;
+  for (const auto& e : fs::directory_iterator(cache_dir)) {
+    if (e.path().extension() == ".unit") ++n;
+  }
+  return n;
 }
 
 std::uint64_t num(const json::Value& v, std::string_view key) {
@@ -204,18 +216,16 @@ TEST(DaemonChaos, SurvivesConcurrentClientsUnderInjectedFaults) {
   EXPECT_FALSE(fs::exists(socket)) << "graceful shutdown must unlink the socket";
 }
 
-TEST(DaemonChaos, KillNineRestartReclaimsSocketLockAndWarmCache) {
+TEST(DaemonChaos, KillNineRestartReclaimsSocketAndWarmCache) {
   const std::string socket = temp_path("crash", ".sock");
   const std::string cache_dir = temp_path("crash", ".cache");
   fs::create_directories(cache_dir);
-  const std::string lock_file = cache_dir + "/.arac.lock";
 
-  // Generation 1: no failpoints; short stale budget so the restart can
-  // break the dead daemon's lock quickly.
-  const std::vector<std::string> arad_args = {
-      "--socket", socket, "--jobs", "2", "--cache-lock", cache_dir,
-      "--lock-stale-ms", "400", "--drain-ms", "2000"};
-  const pid_t gen1 = spawn_arad(arad_args, "");
+  // Generation 1 stalls every cache store for 300 ms, so the kill below
+  // lands while a store is in flight.
+  const std::vector<std::string> arad_args = {"--socket", socket, "--jobs", "2",
+                                              "--drain-ms", "2000"};
+  const pid_t gen1 = spawn_arad(arad_args, "cache.write=delay:300");
   ASSERT_GT(gen1, 0);
   ASSERT_TRUE(wait_for_daemon(socket));
 
@@ -224,44 +234,41 @@ TEST(DaemonChaos, KillNineRestartReclaimsSocketLockAndWarmCache) {
   const auto cold = client.call("analyze", analyze_params("phoenix", cache_dir));
   ASSERT_TRUE(cold.has_value() && cold->ok) << (cold ? cold->error : "no reply");
   EXPECT_EQ(num(cold->result, "cache_misses"), 2u);
+  ASSERT_EQ(count_entries(cache_dir), 2u);
 
   const auto rgn1 = client.call("query", R"({"project":"phoenix","artifact":"rgn"})");
   ASSERT_TRUE(rgn1.has_value() && rgn1->ok);
   const std::string artifact_before = rgn1->result.find("text")->string;
   ASSERT_FALSE(artifact_before.empty());
-  ASSERT_TRUE(fs::exists(lock_file));
-  const fs::file_time_type lock_mtime_before = fs::last_write_time(lock_file);
 
-  // kill -9 mid-analyze: fire a request and pull the plug while it runs.
-  std::thread doomed([&socket] {
+  // kill -9 mid-store: the doomed request's edited units miss the cache, and
+  // the first one's store is stalled when the plug is pulled.
+  std::atomic<bool> doomed_replied{false};
+  std::thread doomed([&socket, &cache_dir, &doomed_replied] {
     DaemonClient d;
     if (d.connect(socket, nullptr)) {
-      (void)d.call("analyze", analyze_params("doomed"));
+      doomed_replied =
+          d.call("analyze", analyze_params("doomed", cache_dir, "/* edited */\n")).has_value();
     }
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ::kill(gen1, SIGKILL);
   doomed.join();
   int status = 0;
   ASSERT_EQ(::waitpid(gen1, &status, 0), gen1);
   ASSERT_TRUE(WIFSIGNALED(status));
   EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  EXPECT_FALSE(doomed_replied.load()) << "the doomed analyze finished before the kill";
 
-  // SIGKILL leaves the wreckage behind: a bound-but-dead socket file and a
-  // heartbeatless lock. Exactly what the restart must reclaim.
+  // SIGKILL leaves a bound-but-dead socket file behind, which the restart
+  // must reclaim. The interrupted store published nothing: the cache holds
+  // exactly phoenix's two entries.
   EXPECT_TRUE(fs::exists(socket));
-  EXPECT_TRUE(fs::exists(lock_file));
-
-  // Let the lock age past --lock-stale-ms so gen 2 may break it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(count_entries(cache_dir), 2u);
 
   const pid_t gen2 = spawn_arad(arad_args, "");
   ASSERT_GT(gen2, 0);
   ASSERT_TRUE(wait_for_daemon(socket)) << "restart did not reclaim the dead socket";
-
-  // The stale lock was broken and re-owned: its heartbeat is fresh again.
-  ASSERT_TRUE(fs::exists(lock_file));
-  EXPECT_GT(fs::last_write_time(lock_file), lock_mtime_before);
 
   // Warm incremental path across the crash: the summaries gen 1 persisted
   // make gen 2's analyze pure cache hits, and the artifact is byte-identical.

@@ -1,17 +1,25 @@
-// Tests for the persistent summary cache: round trips, key sensitivity, and
-// the robustness contract — corrupt, truncated, stale-version or mismatched
+// Tests for the persistent summary cache: round trips, key sensitivity, the
+// robustness contract — corrupt, truncated, stale-version or mismatched
 // entries are misses (counted as evictions, then overwritten by the next
-// store), never crashes.
+// store), never crashes — and the lock-free concurrency contract: racing
+// stores and evictions never publish a torn entry, never return a wrong
+// summary, and never wait on one another.
 #include "serve/cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/stats.hpp"
+#include "serve/depmap.hpp"
 #include "serve/summary.hpp"
 
 namespace ara::serve {
@@ -167,12 +175,130 @@ TEST_F(CacheTest, EntryCopiedToWrongKeyIsAMiss) {
 }
 
 TEST_F(CacheTest, StoreIsAtomicNoTmpLeftBehind) {
+  // Temp files are named `<target>.tmp.<pid>.<n>`: match the infix, since
+  // their extension is the counter, never ".tmp".
   const SummaryCache cache(dir_, true);
   const std::string key = SummaryCache::key_for("s.f", "t", Language::Fortran, "f");
   ASSERT_TRUE(cache.store(key, sample_unit()));
+  DepMap deps;
+  deps.set("s.f", UnitDeps{{}, {}});
+  ASSERT_TRUE(DepMap::store(dir_, deps));
+  EXPECT_TRUE(fs::exists(cache.entry_path(key)));
+  EXPECT_TRUE(fs::exists(DepMap::path_in(dir_)));
   for (const auto& e : fs::directory_iterator(dir_)) {
-    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+    EXPECT_EQ(e.path().filename().string().find(".tmp."), std::string::npos) << e.path();
   }
+}
+
+TEST_F(CacheTest, ConcurrentStoresOfOneKeyNeverTearTheEntry) {
+  // Eight threads publish one key while a loader loops. Each store renames
+  // its own complete temp file, so no store fails, no load ever reads a torn
+  // entry (nothing to evict), and every load after the first store hits.
+  const SummaryCache cache(dir_, true);
+  const UnitSummary unit = sample_unit();
+  const std::string expected = write_unit_summary(unit);
+  const std::string key = SummaryCache::key_for("s.f", "t", Language::Fortran, "f");
+  constexpr int kWriters = 8;
+  constexpr int kStoresEach = 50;
+
+  std::atomic<bool> published{false};
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failed_stores{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kStoresEach; ++i) {
+        if (cache.store(key, unit)) {
+          published.store(true);
+        } else {
+          ++failed_stores;
+        }
+      }
+      --writers_left;
+    });
+  }
+  int loads = 0;
+  int misses = 0;
+  int wrong = 0;
+  while (writers_left.load() > 0) {
+    const bool after_first_store = published.load();
+    const std::optional<UnitSummary> hit = cache.load(key);
+    if (!after_first_store) continue;  // a cold miss is allowed
+    ++loads;
+    if (!hit) {
+      ++misses;
+    } else if (write_unit_summary(*hit) != expected) {
+      ++wrong;
+    }
+  }
+  for (std::thread& t : writers) t.join();
+
+  EXPECT_EQ(failed_stores.load(), 0);
+  EXPECT_EQ(misses, 0) << "of " << loads << " loads after the first store";
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(counter("serve.cache_evictions"), 0u);
+  const std::optional<UnitSummary> last = cache.load(key);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(write_unit_summary(*last), expected);
+}
+
+TEST_F(CacheTest, EvictionRacingAStoreNeverReturnsAWrongSummaryOrWaits) {
+  // One thread keeps corrupting the entry and loading it, which evicts it,
+  // while another keeps storing. An eviction may unlink a fresh entry (one
+  // re-analysis, by design), but a load that hits must return the stored
+  // summary, and neither side ever waits on the other. An unlocked write,
+  // read or unlink takes well under a millisecond; a lock-file lock with
+  // sleep backoff starves one side of this loop for longer than the bound.
+  // A lock wait recurs every round while a scheduler or disk-journal stall
+  // does not, so the race runs three rounds and the best one must keep every
+  // call under the bound.
+  const SummaryCache cache(dir_, true);
+  const UnitSummary unit = sample_unit();
+  const std::string expected = write_unit_summary(unit);
+  const std::string key = SummaryCache::key_for("s.f", "t", Language::Fortran, "f");
+  const fs::path path = cache.entry_path(key);
+  const std::string junk = "ARA-UNIT-CACHE v1\nkey " + key + "\ncorrupt\n";
+  constexpr int kRounds = 3;
+  constexpr int kStoresPerRound = 3000;
+  constexpr std::chrono::milliseconds kMaxCall{100};
+  using Clock = std::chrono::steady_clock;
+
+  std::atomic<int> failed_stores{0};
+  int hits = 0;
+  int wrong = 0;
+  Clock::duration best_round = Clock::duration::max();
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<bool> done{false};
+    Clock::duration slowest_store{};
+    std::thread storer([&] {
+      for (int i = 0; i < kStoresPerRound; ++i) {
+        const auto start = Clock::now();
+        if (!cache.store(key, unit)) ++failed_stores;
+        slowest_store = std::max(slowest_store, Clock::now() - start);
+      }
+      done.store(true);
+    });
+    Clock::duration slowest_load{};
+    while (!done.load()) {
+      spit(path, junk);
+      const auto start = Clock::now();
+      const std::optional<UnitSummary> got = cache.load(key);
+      slowest_load = std::max(slowest_load, Clock::now() - start);
+      if (got) {
+        ++hits;  // a fresh entry landed between the corruption and the load
+        if (write_unit_summary(*got) != expected) ++wrong;
+      }
+    }
+    storer.join();
+    best_round = std::min(best_round, std::max(slowest_store, slowest_load));
+  }
+
+  EXPECT_EQ(failed_stores.load(), 0);
+  EXPECT_EQ(wrong, 0) << "of " << hits << " hits";
+  EXPECT_GT(counter("serve.cache_evictions"), 0u);
+  EXPECT_LT(best_round, kMaxCall)
+      << "slowest call of the best round: "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(best_round).count() << " ms";
 }
 
 }  // namespace

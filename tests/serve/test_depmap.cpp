@@ -1,14 +1,22 @@
 // The persisted reverse-dependency map (ara.deps.v1) behind dependency-
 // aware incremental re-analysis: edge bookkeeping, the reverse transitive
-// closure (including cycles), and total serde — a corrupt deps.map must
-// degrade to an empty map (full invalidation), never to junk edges.
+// closure (including cycles), total serde — a corrupt deps.map must
+// degrade to an empty map (full invalidation), never to junk edges — and
+// lock-free publishing: concurrent stores never expose a torn file.
 #include "serve/depmap.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace ara::serve {
 namespace {
@@ -114,6 +122,67 @@ TEST(DepMap, LoadOfMissingOrCorruptFileIsEmpty) {
   const DepMap back = DepMap::load(dir);
   ASSERT_NE(back.find("a.c"), nullptr);
   EXPECT_EQ(back.find("a.c")->deps, (std::vector<std::string>{"b.c"}));
+  fs::remove_all(dir);
+}
+
+TEST(DepMap, ConcurrentStoresNeverPublishATornMap) {
+  // Eight writers (threads here; processes or daemon projects sharing a
+  // cache dir in practice) each publish their own 200-unit map 300 times
+  // while a reader parses deps.map. Every store writes its own temp file and
+  // renames it, so every read is one writer's complete map.
+  const fs::path dir =
+      fs::temp_directory_path() / ("ara_depmap_race_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  constexpr int kWriters = 8;
+  constexpr int kStoresEach = 300;
+  constexpr int kUnits = 200;
+
+  std::vector<DepMap> maps(kWriters);
+  std::set<std::string> texts;
+  for (int w = 0; w < kWriters; ++w) {
+    const std::string prefix = "w" + std::to_string(w) + "_u";
+    for (int u = 0; u < kUnits; ++u) {
+      maps[w].set(prefix + std::to_string(u) + ".f",
+                  UnitDeps{{"g" + std::to_string(u)},
+                           {prefix + std::to_string((u + 1) % kUnits) + ".f"}});
+    }
+    texts.insert(maps[w].write());
+  }
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failed_stores{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kStoresEach; ++i) {
+        if (!DepMap::store(dir, maps[w])) ++failed_stores;
+      }
+      --writers_left;
+    });
+  }
+  int reads = 0;
+  int unparsable = 0;
+  int foreign = 0;
+  while (writers_left.load() > 0) {
+    std::ifstream in(DepMap::path_in(dir), std::ios::binary);
+    if (!in) continue;  // before the first rename; rename never removes it
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    ++reads;
+    if (!DepMap::parse(buf.str()).has_value()) {
+      ++unparsable;
+    } else if (texts.count(buf.str()) == 0) {
+      ++foreign;
+    }
+  }
+  for (std::thread& t : writers) t.join();
+
+  EXPECT_EQ(failed_stores.load(), 0) << "of " << kWriters * kStoresEach << " stores";
+  EXPECT_EQ(unparsable, 0) << "of " << reads << " reads";
+  EXPECT_EQ(foreign, 0) << "reads that parsed but match no writer's map";
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(texts.count(DepMap::load(dir).write()), 1u);
   fs::remove_all(dir);
 }
 

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -16,7 +15,6 @@
 
 #include "daemon/server.hpp"
 #include "obs/stats.hpp"
-#include "serve/lockfile.hpp"
 #include "support/faultinject.hpp"
 
 namespace {
@@ -33,11 +31,6 @@ void usage(std::ostream& out) {
          "  --max-resident-mb N   warm-project memory budget; least-recently\n"
          "                        used projects are evicted past it\n"
          "                        (default 512, 0 = unbounded)\n"
-         "  --cache-lock DIR      hold DIR's cache lock (with heartbeat) for\n"
-         "                        the daemon's lifetime\n"
-         "  --lock-stale-ms N     age after which a competing process may\n"
-         "                        break the cache lock as stale (default\n"
-         "                        60000; the heartbeat refreshes at N/3)\n"
          "  --max-inflight N      admission budget: concurrent requests past\n"
          "                        it shed with code:\"overloaded\" (default 0\n"
          "                        = the worker-pool size)\n"
@@ -74,8 +67,6 @@ void on_terminate_signal(int) { g_signal_drain.store(1, std::memory_order_relaxe
 
 int main(int argc, char** argv) {
   ara::daemon::DaemonOptions opts;
-  std::string cache_lock_dir;
-  std::uint64_t lock_stale_ms = 60'000;
   const std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -106,15 +97,6 @@ int main(int argc, char** argv) {
       const std::string* v = next("--max-resident-mb");
       if (v == nullptr) return 1;
       opts.max_resident_mb = static_cast<std::size_t>(std::strtoul(v->c_str(), nullptr, 10));
-    } else if (a == "--cache-lock") {
-      const std::string* v = next("--cache-lock");
-      if (v == nullptr) return 1;
-      cache_lock_dir = *v;
-    } else if (a == "--lock-stale-ms") {
-      const std::string* v = next("--lock-stale-ms");
-      if (v == nullptr) return 1;
-      lock_stale_ms = std::strtoull(v->c_str(), nullptr, 10);
-      if (lock_stale_ms == 0) lock_stale_ms = 60'000;
     } else if (a == "--max-inflight") {
       const std::string* v = next("--max-inflight");
       if (v == nullptr) return 1;
@@ -165,21 +147,6 @@ int main(int argc, char** argv) {
   if (std::string fi_error; !ara::fi::configure_from_env(&fi_error)) {
     std::cerr << "arad: bad ARA_FAILPOINTS: " << fi_error << "\n";
     return 1;
-  }
-
-  // Optional long-lived cache lock: DirLock's heartbeat keeps the lock's
-  // mtime fresh, so a concurrent `arac --cache-dir DIR` never breaks a
-  // healthy daemon's lock as "stale" (it degrades to unlocked atomic
-  // stores instead, per the lockfile contract).
-  ara::serve::DirLock cache_lock(cache_lock_dir.empty() ? "." : cache_lock_dir,
-                                 std::chrono::milliseconds(lock_stale_ms));
-  if (!cache_lock_dir.empty()) {
-    if (cache_lock.acquire()) {
-      cache_lock.start_heartbeat();
-    } else {
-      std::cerr << "arad: warning: could not take the cache lock in " << cache_lock_dir
-                << " (continuing without it)\n";
-    }
   }
 
   ara::daemon::DaemonServer server(std::move(opts));
