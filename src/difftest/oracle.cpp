@@ -104,7 +104,7 @@ std::string point_str(const Point& p) {
 bool translation_kind(obs::CauseKind k) {
   return k == obs::CauseKind::UnresolvedCall || k == obs::CauseKind::ActualNotAffine ||
          k == obs::CauseKind::CalleeLocalEscape || k == obs::CauseKind::CalleeImprecision ||
-         k == obs::CauseKind::LimitDemotion;
+         k == obs::CauseKind::LimitDemotion || k == obs::CauseKind::RecursionWidening;
 }
 
 /// The provenance oracle: walks every published region dimension, counts

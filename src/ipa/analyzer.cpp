@@ -1,6 +1,7 @@
 #include "ipa/analyzer.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "obs/stats.hpp"
@@ -116,8 +117,7 @@ std::vector<rgn::RegionRow> build_rows(const ir::Program& program,
     }
     row.tot_size = ty.total_elements().value_or(0);
     row.size_bytes = ty.size_bytes().value_or(0);
-    const std::uint64_t addr =
-        InterprocAnalyzer::resolve_addr(rec.array, program, result.formal_binding);
+    const std::uint64_t addr = resolve_addr(rec.array, program, result.formal_binding);
     row.mem_loc = to_hex(addr);
     row.acc_density = rgn::access_density_pct(row.references, row.size_bytes);
     row.image = rec.image;
@@ -136,6 +136,37 @@ std::vector<rgn::RegionRow> build_rows(const ir::Program& program,
   return rows;
 }
 
+rgn::DgnProject dgn_project(const ir::Program& program, const CallGraph& cg,
+                            const std::string& name) {
+  rgn::DgnProject project;
+  project.name = name;
+  for (FileId f = 1; f <= program.sources.file_count(); ++f) {
+    project.files.push_back(program.sources.name(f));
+    project.languages.emplace_back(to_string(program.sources.language(f)));
+  }
+  for (const CGNode& node : cg.nodes()) {
+    rgn::DgnProc p;
+    p.name = program.symtab.st(node.proc_st).name;
+    p.file = program.sources.name(node.file);
+    p.line = program.symtab.st(node.proc_st).loc.line;
+    p.is_entry = node.is_root;
+    project.procedures.push_back(std::move(p));
+  }
+  for (const CGNode& node : cg.nodes()) {
+    for (const CallSite& cs : node.callsites) {
+      rgn::DgnEdge e;
+      e.caller = program.symtab.st(node.proc_st).name;
+      // A callee that is not linked (a degraded link) still shows up under
+      // its call-site name, so the browser can display what is missing.
+      e.callee = cs.callee != kNoNode ? program.symtab.st(cg.node(cs.callee).proc_st).name
+                                      : cs.unlinked;
+      e.line = cs.loc.line;
+      project.edges.push_back(std::move(e));
+    }
+  }
+  return project;
+}
+
 AnalysisResult analyze(const ir::Program& program, const AnalyzeOptions& opts) {
   AnalysisResult result;
   {
@@ -144,42 +175,29 @@ AnalysisResult analyze(const ir::Program& program, const AnalyzeOptions& opts) {
   }
 
   LocalAnalyzer local(program);
-  std::vector<LocalSummary> locals;
-  locals.reserve(result.callgraph.size());
+  std::vector<SideEffects> local_effects;
+  std::vector<AccessRecord> records;
+  local_effects.reserve(result.callgraph.size());
   {
     ARA_SPAN("local-ARA", "ipa");
     for (std::uint32_t i = 0; i < result.callgraph.size(); ++i) {
       const CGNode& node = result.callgraph.node(i);
       obs::Span proc_span(program.symtab.st(node.proc_st).name, "ipa");
       stat_procs_analyzed.bump();
-      locals.push_back(local.analyze(node));
+      LocalSummary ls = local.analyze(node);
+      records.insert(records.end(), std::make_move_iterator(ls.records.begin()),
+                     std::make_move_iterator(ls.records.end()));
+      local_effects.push_back(std::move(ls.side_effects));
     }
   }
 
-  for (LocalSummary& ls : locals) {
-    for (AccessRecord& rec : ls.records) {
-      if (!opts.include_scalars && rec.region.rank() == 0 &&
-          !program.symtab.ty(program.symtab.st(rec.array).ty).is_array()) {
-        continue;
-      }
-      result.records.push_back(rec);
-    }
-  }
-
-  if (opts.interprocedural) {
+  {
     ARA_SPAN("IPA-propagate", "ipa");
-    InterprocAnalyzer inter(program, result.callgraph);
-    InterprocResult ir_result = inter.run(locals);
-    result.side_effects = std::move(ir_result.side_effects);
-    result.formal_binding = std::move(ir_result.formal_binding);
-    for (AccessRecord& rec : ir_result.interproc_records) {
-      result.records.push_back(std::move(rec));
-    }
-  } else {
-    result.side_effects.resize(result.callgraph.size());
-    for (std::uint32_t i = 0; i < result.callgraph.size(); ++i) {
-      result.side_effects[i] = locals[i].side_effects;
-    }
+    InterprocResult propagated = propagate(program, result.callgraph, std::move(local_effects),
+                                           std::move(records), opts);
+    result.records = std::move(propagated.records);
+    result.side_effects = std::move(propagated.side_effects);
+    result.formal_binding = std::move(propagated.formal_binding);
   }
 
   {

@@ -10,17 +10,10 @@
 #include "ipa/callgraph.hpp"
 #include "ipa/interproc.hpp"
 #include "ipa/local.hpp"
+#include "rgn/dgn.hpp"
 #include "rgn/region_row.hpp"
 
 namespace ara::ipa {
-
-/// Mirrors the paper's compile flags (§V-B step 1): `-IPA:array_section:
-/// array_summary` enables interprocedural propagation; `-dragon` keeps
-/// per-reference rows for the GUI.
-struct AnalyzeOptions {
-  bool interprocedural = true;
-  bool include_scalars = true;  // scalar formal/global DEF/USE rows (Fig 12's CLASS)
-};
 
 struct AnalysisResult {
   CallGraph callgraph;
@@ -39,5 +32,10 @@ struct AnalysisResult {
 /// Rebuilds only the display rows from the records (used after filtering).
 [[nodiscard]] std::vector<rgn::RegionRow> build_rows(const ir::Program& program,
                                                      const AnalysisResult& result);
+
+/// The .dgn project inventory: the program's files, every call-graph node
+/// (entry = no callers) and every call edge.
+[[nodiscard]] rgn::DgnProject dgn_project(const ir::Program& program, const CallGraph& cg,
+                                          const std::string& name);
 
 }  // namespace ara::ipa

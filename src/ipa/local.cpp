@@ -379,11 +379,7 @@ void LocalAnalyzer::record_call(const ir::WN& call, Walk& walk) const {
     const ir::WN* parm = call.kid(i);
     if (parm->opr() != ir::Opr::Parm || parm->kid_count() == 0) continue;
     const ir::WN* arg = parm->kid(0);
-    const bool whole_array =
-        (arg->opr() == ir::Opr::Lda || arg->opr() == ir::Opr::Ldid) &&
-        arg->st_idx() != ir::kInvalidSt &&
-        program_.symtab.ty(program_.symtab.st(arg->st_idx()).ty).is_array();
-    if (whole_array) {
+    if (is_whole_array(*arg, program_.symtab)) {
       AccessRecord rec;
       rec.array = arg->st_idx();
       rec.mode = AccessMode::Passed;

@@ -44,4 +44,9 @@ std::optional<LinExpr> wn_to_affine(const ir::WN& wn, const ir::SymbolTable& sym
   }
 }
 
+bool is_whole_array(const ir::WN& wn, const ir::SymbolTable& symtab) {
+  return (wn.opr() == ir::Opr::Lda || wn.opr() == ir::Opr::Ldid) &&
+         wn.st_idx() != ir::kInvalidSt && symtab.ty(symtab.st(wn.st_idx()).ty).is_array();
+}
+
 }  // namespace ara::ipa

@@ -17,4 +17,8 @@ namespace ara::ipa {
 [[nodiscard]] std::optional<regions::LinExpr> wn_to_affine(const ir::WN& wn,
                                                            const ir::SymbolTable& symtab);
 
+/// True for an LDA/LDID of an array symbol: a whole array passed as a call
+/// actual (by reference), as opposed to one element or a scalar value.
+[[nodiscard]] bool is_whole_array(const ir::WN& wn, const ir::SymbolTable& symtab);
+
 }  // namespace ara::ipa

@@ -32,6 +32,7 @@ std::string_view to_string(CauseKind kind) {
     case CauseKind::UnionDrop: return "union_drop";
     case CauseKind::LimitDemotion: return "limit_demotion";
     case CauseKind::LoopNotParallel: return "loop_not_parallel";
+    case CauseKind::RecursionWidening: return "recursion_widening";
   }
   return "unknown";
 }
@@ -51,6 +52,7 @@ std::string_view describe(CauseKind kind) {
     case CauseKind::UnionDrop: return "region union dropped its oldest region";
     case CauseKind::LimitDemotion: return "unit demoted by a resource limit";
     case CauseKind::LoopNotParallel: return "loop not parallelizable";
+    case CauseKind::RecursionWidening: return "recursion widened to the declared extent";
   }
   return "unknown";
 }
@@ -63,7 +65,7 @@ bool cause_from_string(std::string_view tag, CauseKind* out) {
       CauseKind::ActualNotAffine,    CauseKind::CalleeLocalEscape,
       CauseKind::CalleeImprecision,  CauseKind::UnionWidening,
       CauseKind::UnionDrop,          CauseKind::LimitDemotion,
-      CauseKind::LoopNotParallel,
+      CauseKind::LoopNotParallel,    CauseKind::RecursionWidening,
   };
   for (CauseKind k : kAll) {
     if (to_string(k) == tag) {

@@ -41,6 +41,7 @@ enum class CauseKind : std::uint8_t {
   UnionDrop,             // region list hit kMaxRegions -> oldest dropped
   LimitDemotion,         // resource/limit barrier demoted the whole unit
   LoopNotParallel,       // dependence analysis kept a loop serial
+  RecursionWidening,     // recursive propagation did not converge -> declared extent
 };
 
 /// Stable snake_case tag used by the cache entry and the JSONL export.

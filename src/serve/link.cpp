@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <set>
-#include <tuple>
 
 #include "ipa/interproc.hpp"
 #include "obs/histogram.hpp"
@@ -16,41 +14,13 @@
 namespace ara::serve {
 
 ARA_STATISTIC(stat_units_linked, "serve.units_linked", "Unit summaries joined by the link phase");
-ARA_STATISTIC(stat_link_callsites, "serve.link_callsites", "Call sites translated at link time");
-ARA_STATISTIC(stat_link_passes, "serve.link_passes", "Link-phase propagation passes run");
 ARA_STATISTIC(stat_link_records, "serve.link_interproc_records",
               "IDEF/IUSE records generated at link time");
 
 ARA_HISTOGRAM(hist_unit_link, "serve.unit_link_ns",
               "Per-unit link latency (symbol replay + record translation)", "ns");
 
-using regions::AccessMode;
-using regions::LinExpr;
-using regions::Region;
-
 namespace {
-
-/// Callee slot for a call site whose target procedure is not linked (only
-/// possible in degraded mode, where the defining unit failed to analyze).
-constexpr std::uint32_t kNoNode = 0xffffffffu;
-
-/// One linked procedure: its summary, defining unit, and resolved call
-/// edges — the summary-side mirror of ipa::CGNode.
-struct LinkNode {
-  std::uint32_t unit = 0;
-  const ProcSummary* proc = nullptr;
-  ir::StIdx proc_st = ir::kInvalidSt;
-  std::vector<std::uint32_t> callees;  // parallel to proc->callsites
-  std::vector<std::uint32_t> callers;  // deduplicated
-  bool is_root = false;
-};
-
-/// Mirror of InterprocAnalyzer::CalleeInfo, built from summary symbols.
-struct CalleeInfo {
-  std::vector<ir::StIdx> formals;  // by position (0-based)
-  std::map<std::string, std::size_t> formal_scalar_pos;
-  std::map<std::string, bool, std::less<>> local_scalar;
-};
 
 ir::TyIdx make_ty(ir::SymbolTable& symtab, const SymInfo& s) {
   if (!s.is_array) return symtab.make_scalar_ty(s.mtype);
@@ -66,55 +36,6 @@ ir::TyIdx make_ty(ir::SymbolTable& symtab, const SymInfo& s) {
   }
   return symtab.make_array_ty(s.mtype, std::move(dims), s.row_major, s.noncontiguous,
                               s.coarray);
-}
-
-/// Callees-before-callers order over the link graph, replicating
-/// CallGraph::bottom_up (same DFS, same tie-breaking by node index).
-std::vector<std::uint32_t> bottom_up(const std::vector<LinkNode>& nodes) {
-  std::vector<std::uint32_t> order;
-  std::vector<int> state(nodes.size(), 0);
-  auto visit = [&](auto&& self, std::uint32_t n) -> void {
-    if (state[n] != 0) return;
-    state[n] = 1;
-    for (const std::uint32_t callee : nodes[n].callees) {
-      if (callee != kNoNode && state[callee] == 0) self(self, callee);
-    }
-    state[n] = 2;
-    order.push_back(n);
-  };
-  for (std::uint32_t i = 0; i < nodes.size(); ++i) visit(visit, i);
-  return order;
-}
-
-/// Recursion detection, replicating CallGraph::build's coloring pass.
-bool has_cycle(const std::vector<LinkNode>& nodes) {
-  std::vector<int> color(nodes.size(), 0);
-  std::vector<std::pair<std::uint32_t, std::size_t>> stack;
-  bool cycle = false;
-  for (std::uint32_t start = 0; start < nodes.size(); ++start) {
-    if (color[start] != 0) continue;
-    stack.emplace_back(start, 0);
-    color[start] = 1;
-    while (!stack.empty()) {
-      auto& [n, edge] = stack.back();
-      if (edge < nodes[n].callees.size()) {
-        const std::uint32_t next = nodes[n].callees[edge];
-        ++edge;
-        if (next == kNoNode) {
-          // fall through to the next edge
-        } else if (color[next] == 1) {
-          cycle = true;
-        } else if (color[next] == 0) {
-          color[next] = 1;
-          stack.emplace_back(next, 0);
-        }
-      } else {
-        color[n] = 2;
-        stack.pop_back();
-      }
-    }
-  }
-  return cycle;
 }
 
 }  // namespace
@@ -317,272 +238,84 @@ LinkResult link_units(const std::vector<UnitSummary>& units,
   ir::assign_layout(program, opts.layout);
 
   // Link call graph: nodes in unit/definition order (== the monolithic
-  // pipeline's procedure order), edges resolved by name.
-  std::vector<LinkNode> nodes;
+  // pipeline's procedure order), edges resolved by name, plus the nodes'
+  // local records and side effects, all remapped into the linked symbols.
   std::map<std::string, std::uint32_t> node_of;
+  std::uint32_t next_node = 0;
+  for (const UnitSummary& unit : units) {
+    for (const ProcSummary& p : unit.procs) {
+      node_of[to_lower(unit.symbols[p.sym].name)] = next_node++;
+    }
+  }
+  std::vector<ipa::CGNode> nodes;
+  std::vector<ipa::SideEffects> local_effects;
+  std::vector<ipa::AccessRecord> records;
   for (std::size_t u = 0; u < units.size(); ++u) {
-    for (const ProcSummary& p : units[u].procs) {
-      LinkNode n;
-      n.unit = static_cast<std::uint32_t>(u);
-      n.proc = &p;
-      n.proc_st = mapped(n.unit, p.sym);
-      node_of[to_lower(units[u].symbols[p.sym].name)] =
-          static_cast<std::uint32_t>(nodes.size());
-      nodes.push_back(std::move(n));
-    }
-  }
-  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-    for (const CallSummary& cs : nodes[i].proc->callsites) {
-      const auto it = node_of.find(cs.callee);
-      // Outside degraded mode every extern resolved above, so the lookup
-      // cannot fail; with dropped units the callee may be missing, and the
-      // kNoNode slot keeps the callees vector parallel to the callsites.
-      nodes[i].callees.push_back(it != node_of.end() ? it->second : kNoNode);
-      if (it == node_of.end()) continue;
-      auto& callers = nodes[it->second].callers;
-      if (std::find(callers.begin(), callers.end(), i) == callers.end()) {
-        callers.push_back(i);
-      }
-    }
-  }
-  for (LinkNode& n : nodes) n.is_root = n.callers.empty();
-
-  // Per-node local side effects and callee info, remapped into the linked
-  // symbol table.
-  std::vector<ipa::SideEffects> local_effects(nodes.size());
-  std::vector<CalleeInfo> infos(nodes.size());
-  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-    const LinkNode& n = nodes[i];
-    for (const EffectSummary& eff : n.proc->effects) {
-      const ir::StIdx st = mapped(n.unit, eff.sym);
-      if (st == ir::kInvalidSt) continue;
-      local_effects[i].effects[{st, eff.mode}].merge_all(eff.regions);
-    }
-    // CalleeInfo, replicating InterprocAnalyzer::collect_info over the
-    // defining unit's symbols.
-    const std::string proc_lower = to_lower(units[n.unit].symbols[n.proc->sym].name);
-    std::vector<std::pair<std::uint32_t, ir::StIdx>> formals;
-    for (std::uint32_t s = 0; s < units[n.unit].symbols.size(); ++s) {
-      const SymInfo& sym = units[n.unit].symbols[s];
-      if (sym.owner != proc_lower) continue;
-      if (sym.kind == SymInfo::Kind::Formal) {
-        formals.emplace_back(sym.formal_pos, mapped(n.unit, s));
-        if (!sym.is_array) {
-          infos[i].formal_scalar_pos[to_lower(sym.name)] = sym.formal_pos - 1;
-        }
-      } else if (sym.kind == SymInfo::Kind::Local && !sym.is_array) {
-        infos[i].local_scalar[to_lower(sym.name)] = true;
-      }
-    }
-    std::sort(formals.begin(), formals.end());
-    for (const auto& [pos, st] : formals) infos[i].formals.push_back(st);
-  }
-
-  std::map<ir::StIdx, ir::StIdx> formal_binding;
-  std::vector<ipa::SideEffects> side_effects = local_effects;
-  std::vector<ipa::AccessRecord> interproc_records;
-
-  if (opts.interprocedural && !nodes.empty()) {
-    ARA_SPAN("link-propagate", "serve");
-
-    // One call-site translation, replicating InterprocAnalyzer's
-    // translate_call over summary actuals: the callee's (array, mode)
-    // effects are rewritten onto the caller's symbols, formal scalars are
-    // substituted with the actuals' affine values, and unambiguous
-    // formal-array -> actual-array bindings are recorded. `attribute` turns
-    // on provenance records — only the final IDEF/IUSE generation sweep sets
-    // it, so the fixed-point passes never duplicate cause records.
-    auto translate_call = [&](std::uint32_t caller, std::uint32_t callee_node,
-                              const CallSummary& cs, bool attribute)
-        -> std::vector<std::tuple<ir::StIdx, AccessMode, ipa::ModeRegions>> {
-      std::vector<std::tuple<ir::StIdx, AccessMode, ipa::ModeRegions>> out;
-      stat_link_callsites.bump();
-      const CalleeInfo& callee_info = infos[callee_node];
-
-      std::map<std::string, std::optional<LinExpr>, std::less<>> subst;
-      for (const auto& [fname, pos] : callee_info.formal_scalar_pos) {
-        if (pos < cs.actuals.size() && cs.actuals[pos].present) {
-          subst[fname] = cs.actuals[pos].affine;
-        } else {
-          subst[fname] = std::nullopt;
-        }
-      }
-
-      for (const auto& [key, mr] : side_effects[callee_node].effects) {
-        const auto& [callee_st, mode] = key;
-        const ir::St& st = program.symtab.st(callee_st);
-        ir::StIdx caller_st = ir::kInvalidSt;
-        if (st.storage == ir::StStorage::Global) {
-          caller_st = callee_st;
-        } else if (st.storage == ir::StStorage::Formal) {
-          const std::size_t pos = st.formal_pos - 1;
-          if (pos < cs.actuals.size() && cs.actuals[pos].is_array) {
-            caller_st = mapped(nodes[caller].unit, cs.actuals[pos].array_sym);
-            if (caller_st != ir::kInvalidSt &&
-                program.symtab.ty(st.ty).is_array()) {
-              const auto it = formal_binding.find(callee_st);
-              if (it == formal_binding.end()) {
-                formal_binding[callee_st] = caller_st;
-              } else if (it->second != caller_st) {
-                it->second = ir::kInvalidSt;  // ambiguous
-              }
-            }
-          }
-        }
-        if (caller_st == ir::kInvalidSt) continue;
-
-        const obs::ProvCtx ctx{program.symtab.st(nodes[caller].proc_st).name,
-                               program.symtab.st(caller_st).name,
-                               program.sources.name(file_of(nodes[caller].unit)), cs.line};
-        const obs::ProvCtx* prov = attribute && obs::prov_capturing() ? &ctx : nullptr;
-        ipa::ModeRegions translated;
-        translated.refs = mr.refs;
-        for (const Region& r : mr.regions) {
-          // Ambient attribution for widenings inside merge — final sweep only.
-          std::optional<obs::ProvScope> scope;
-          if (prov != nullptr) scope.emplace(ctx);
-          translated.merge(ipa::translate_region(r, subst, callee_info.local_scalar, prov), 0);
-        }
-        out.emplace_back(caller_st, mode, std::move(translated));
-      }
-      return out;
-    };
-
-    const std::vector<std::uint32_t> order = bottom_up(nodes);
-    const int max_passes = has_cycle(nodes) ? 5 : 1;
-    for (int pass = 0; pass < max_passes; ++pass) {
-      stat_link_passes.bump();
-      bool changed = false;
-      for (const std::uint32_t n : order) {
-        ipa::SideEffects next = local_effects[n];
-        for (std::size_t c = 0; c < nodes[n].proc->callsites.size(); ++c) {
-          if (nodes[n].callees[c] == kNoNode) continue;
-          for (auto& [st, mode, mr] :
-               translate_call(n, nodes[n].callees[c], nodes[n].proc->callsites[c], false)) {
-            next.effects[{st, mode}].merge_all(mr);
-          }
-        }
-        if (!(next == side_effects[n])) {
-          side_effects[n] = std::move(next);
-          changed = true;
-        }
-      }
-      if (!changed) break;
-    }
-
-    // Pass-through bindings: call sites whose callee never touches the
-    // formal still bind it to the actual (mirrors the legacy IPA).
-    for (std::uint32_t n = 0; n < nodes.size(); ++n) {
-      for (std::size_t c = 0; c < nodes[n].proc->callsites.size(); ++c) {
-        if (nodes[n].callees[c] == kNoNode) continue;
-        const CallSummary& cs = nodes[n].proc->callsites[c];
-        const CalleeInfo& info = infos[nodes[n].callees[c]];
-        for (std::size_t pos = 0; pos < info.formals.size(); ++pos) {
-          const ir::StIdx formal = info.formals[pos];
-          if (!program.symtab.ty(program.symtab.st(formal).ty).is_array()) continue;
-          if (pos >= cs.actuals.size() || !cs.actuals[pos].is_array) continue;
-          const ir::StIdx actual_st = mapped(nodes[n].unit, cs.actuals[pos].array_sym);
-          if (actual_st == ir::kInvalidSt) continue;
-          const auto it = formal_binding.find(formal);
-          if (it == formal_binding.end()) {
-            formal_binding[formal] = actual_st;
-          } else if (it->second != actual_st) {
-            it->second = ir::kInvalidSt;
-          }
-        }
-      }
-    }
-
-    // IDEF/IUSE records per call site from the callees' final effects.
-    for (std::uint32_t n = 0; n < nodes.size(); ++n) {
-      for (std::size_t c = 0; c < nodes[n].proc->callsites.size(); ++c) {
-        const CallSummary& cs = nodes[n].proc->callsites[c];
-        const std::uint32_t callee = nodes[n].callees[c];
-        if (callee == kNoNode) continue;
-        for (auto& [st, mode, mr] : translate_call(n, callee, cs, true)) {
-          bool first = true;
-          for (Region& r : mr.regions) {
-            ipa::AccessRecord rec;
-            rec.array = st;
-            rec.mode = mode;
-            rec.interproc = true;
-            rec.region = std::move(r);
-            rec.refs = first ? mr.refs : 0;
-            first = false;
-            rec.scope_proc = nodes[n].proc_st;
-            rec.file = file_of(nodes[callee].unit);
-            rec.line = cs.line;
-            stat_link_records.bump();
-            interproc_records.push_back(std::move(rec));
-          }
-        }
-      }
-    }
-  }
-
-  // Assemble the record stream exactly like ipa::analyze: filtered local
-  // records in call-graph node order, then the interprocedural records.
-  ipa::AnalysisResult shell;
-  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-    const LinkNode& n = nodes[i];
     const auto t0 = tick();
-    for (const RecordSummary& r : n.proc->records) {
-      const SymInfo& sym = units[n.unit].symbols[r.sym];
-      if (!opts.include_scalars && r.region.rank() == 0 && !sym.is_array) continue;
-      const ir::StIdx arr = mapped(n.unit, r.sym);
-      if (arr == ir::kInvalidSt) continue;  // unresolved import (degraded mode)
-      ipa::AccessRecord rec;
-      rec.array = arr;
-      rec.mode = r.mode;
-      rec.remote = r.remote;
-      rec.image = r.image;
-      rec.region = r.region;
-      rec.refs = r.refs;
-      rec.scope_proc = n.proc_st;
-      rec.file = file_of(n.unit);
-      rec.line = r.line;
-      shell.records.push_back(std::move(rec));
+    const auto unit = static_cast<std::uint32_t>(u);
+    for (const ProcSummary& p : units[u].procs) {
+      ipa::CGNode& node = nodes.emplace_back();
+      node.proc_st = mapped(unit, p.sym);
+      node.file = file_of(u);
+      for (const CallSummary& cs : p.callsites) {
+        ipa::CallSite& site = node.callsites.emplace_back();
+        // Outside degraded mode every extern resolved above, so the lookup
+        // cannot fail; with dropped units the callee may be missing.
+        const auto it = node_of.find(cs.callee);
+        if (it != node_of.end()) {
+          site.callee = it->second;
+        } else {
+          site.unlinked = cs.callee;
+        }
+        site.loc = SourceLoc{node.file, cs.line, 0};
+        for (const ActualSummary& a : cs.actuals) {
+          site.actuals.push_back(
+              {a.is_array ? mapped(unit, a.array_sym) : ir::kInvalidSt, a.affine});
+        }
+      }
+      for (const RecordSummary& r : p.records) {
+        const ir::StIdx arr = mapped(unit, r.sym);
+        if (arr == ir::kInvalidSt) continue;  // unresolved import (degraded mode)
+        ipa::AccessRecord& rec = records.emplace_back();
+        rec.array = arr;
+        rec.mode = r.mode;
+        rec.remote = r.remote;
+        rec.image = r.image;
+        rec.region = r.region;
+        rec.refs = r.refs;
+        rec.scope_proc = node.proc_st;
+        rec.file = node.file;
+        rec.line = r.line;
+      }
+      ipa::SideEffects& effects = local_effects.emplace_back();
+      for (const EffectSummary& eff : p.effects) {
+        const ir::StIdx st = mapped(unit, eff.sym);
+        if (st == ir::kInvalidSt) continue;
+        effects.effects[{st, eff.mode}].merge_all(eff.regions);
+      }
     }
-    tock(n.unit, t0);
+    tock(u, t0);
   }
-  for (ipa::AccessRecord& rec : interproc_records) {
-    shell.records.push_back(std::move(rec));
+  const ipa::CallGraph cg = ipa::CallGraph::from_nodes(std::move(nodes));
+
+  ipa::AnalysisResult shell;
+  {
+    ARA_SPAN("link-propagate", "serve");
+    ipa::InterprocResult propagated =
+        ipa::propagate(program, cg, std::move(local_effects), std::move(records),
+                       {opts.interprocedural, opts.include_scalars});
+    shell.records = std::move(propagated.records);
+    shell.formal_binding = std::move(propagated.formal_binding);
   }
-  shell.formal_binding = std::move(formal_binding);
+  stat_link_records.bump(static_cast<std::uint64_t>(
+      std::count_if(shell.records.begin(), shell.records.end(),
+                    [](const ipa::AccessRecord& rec) { return rec.interproc; })));
 
   {
     ARA_SPAN("link-rows", "serve");
     result.rows = ipa::build_rows(program, shell);
   }
-
-  // .dgn project inventory (mirrors driver::build_dgn_project).
-  result.project.name = name;
-  for (FileId f = 1; f <= program.sources.file_count(); ++f) {
-    result.project.files.push_back(program.sources.name(f));
-    result.project.languages.emplace_back(to_string(program.sources.language(f)));
-  }
-  for (const LinkNode& n : nodes) {
-    rgn::DgnProc p;
-    p.name = program.symtab.st(n.proc_st).name;
-    p.file = program.sources.name(file_of(n.unit));
-    p.line = program.symtab.st(n.proc_st).loc.line;
-    p.is_entry = n.is_root;
-    result.project.procedures.push_back(std::move(p));
-  }
-  for (std::uint32_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t c = 0; c < nodes[i].proc->callsites.size(); ++c) {
-      rgn::DgnEdge e;
-      e.caller = program.symtab.st(nodes[i].proc_st).name;
-      const std::uint32_t callee = nodes[i].callees[c];
-      // A dropped callee still shows up in the dependency graph under the
-      // call site's recorded (lowercase) name, so the browser can display
-      // what the degraded run is missing.
-      e.callee = callee != kNoNode ? program.symtab.st(nodes[callee].proc_st).name
-                                   : nodes[i].proc->callsites[c].callee;
-      e.line = nodes[i].proc->callsites[c].line;
-      result.project.edges.push_back(std::move(e));
-    }
-  }
+  result.project = ipa::dgn_project(program, cg, name);
 
   // .cfg: one header, then each unit's pre-rendered sections in order.
   result.cfg_text = "CFG 1\n";

@@ -5,6 +5,14 @@
 // everything it consumes comes from UnitSummary, so cached units link
 // exactly like freshly analyzed ones.
 //
+// What is unique to the link: replaying the whole-program symbol table,
+// reporting link diagnostics (redefinitions, unresolved externs and
+// imports), and remapping each unit's summaries — call sites, local
+// records, side effects — onto the linked symbols as an ipa::CallGraph and
+// local summaries. Propagation (ipa::propagate), the .rgn rows
+// (ipa::build_rows) and the .dgn inventory (ipa::dgn_project) are the
+// whole-program pipeline's own code.
+//
 // Determinism contract: the linked symbol table is replayed in the same
 // creation order the whole-program front end would use (all units'
 // procedures, then canonical globals in first-declaration order, then each

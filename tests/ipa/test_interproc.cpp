@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/compile.hpp"
+#include "ipa/analyzer.hpp"
 #include "support/string_utils.hpp"
 
 namespace ara::ipa {
@@ -16,35 +17,48 @@ using regions::AccessMode;
 struct Analyzed {
   ir::Program program;
   DiagnosticEngine diags{nullptr};
-  CallGraph cg;
-  InterprocResult result;
+  AnalysisResult result;
 };
 
 std::unique_ptr<Analyzed> analyze(const std::string& text) {
   auto out = std::make_unique<Analyzed>();
   out->program.sources.add("t.f", text, Language::Fortran);
   EXPECT_TRUE(fe::compile_program(out->program, out->diags)) << out->diags.render();
-  out->cg = CallGraph::build(out->program);
-  LocalAnalyzer local(out->program);
-  std::vector<LocalSummary> locals;
-  for (std::uint32_t i = 0; i < out->cg.size(); ++i) {
-    locals.push_back(local.analyze(out->cg.node(i)));
-  }
-  InterprocAnalyzer inter(out->program, out->cg);
-  out->result = inter.run(locals);
+  out->result = ipa::analyze(out->program);
   return out;
+}
+
+const ModeRegions* effects_of(const Analyzed& a, const char* proc, const char* array,
+                              AccessMode mode) {
+  const SideEffects* effects = a.result.effects_of(proc, a.program);
+  if (effects == nullptr) return nullptr;
+  for (const auto& [key, mr] : effects->effects) {
+    if (key.second == mode && iequals(a.program.symtab.st(key.first).name, array)) return &mr;
+  }
+  return nullptr;
 }
 
 const regions::Region* effect_of(const Analyzed& a, const char* proc, const char* array,
                                  AccessMode mode) {
-  const auto idx = a.cg.find(proc, a.program);
-  if (!idx) return nullptr;
-  for (const auto& [key, mr] : a.result.side_effects[*idx].effects) {
-    if (key.second == mode && iequals(a.program.symtab.st(key.first).name, array)) {
-      return mr.regions.empty() ? nullptr : &mr.regions.front();
-    }
+  const ModeRegions* mr = effects_of(a, proc, array, mode);
+  return mr == nullptr || mr->regions.empty() ? nullptr : &mr->regions.front();
+}
+
+/// True when some region of `mr` holds element `i` of a 1-D array once the
+/// symbol `var` is bound to `value`. An UNPROJECTED bound holds everything.
+bool covers(const ModeRegions& mr, const char* var, std::int64_t value, std::int64_t i) {
+  for (const regions::Region& r : mr.regions) {
+    const regions::DimAccess& d = r.dim(0);
+    if (!d.lb.known() || !d.ub.known()) return true;
+    const regions::LinExpr lb = d.lb.expr.substituted(var, regions::LinExpr(value));
+    const regions::LinExpr ub = d.ub.expr.substituted(var, regions::LinExpr(value));
+    if (!lb.is_constant() || !ub.is_constant()) continue;
+    const std::int64_t lo = std::min(lb.constant(), ub.constant());
+    const std::int64_t hi = std::max(lb.constant(), ub.constant());
+    const std::int64_t step = d.stride == 0 ? 1 : std::abs(d.stride);
+    if (lo <= i && i <= hi && (i - lb.constant()) % step == 0) return true;
   }
-  return nullptr;
+  return false;
 }
 
 const char* kFig1 =
@@ -90,7 +104,7 @@ TEST(Interproc, Fig1CallSiteRecordsAreIDefIUse) {
   auto a = analyze(kFig1);
   std::size_t idef = 0;
   std::size_t iuse = 0;
-  for (const AccessRecord& rec : a->result.interproc_records) {
+  for (const AccessRecord& rec : a->result.records) {
     if (!rec.interproc) continue;
     if (rec.mode == AccessMode::Def) ++idef;
     if (rec.mode == AccessMode::Use) ++iuse;
@@ -115,7 +129,7 @@ TEST(Interproc, FormalBindingResolvesAddresses) {
   }
   ASSERT_NE(formal, ir::kInvalidSt);
   ASSERT_NE(actual, ir::kInvalidSt);
-  EXPECT_EQ(InterprocAnalyzer::resolve_addr(formal, a->program, a->result.formal_binding),
+  EXPECT_EQ(resolve_addr(formal, a->program, a->result.formal_binding),
             a->program.symtab.st(actual).addr);
 }
 
@@ -210,13 +224,34 @@ TEST(Interproc, RecursionReachesAFixpoint) {
       "    call r(v, n - 1)\n"
       "  end if\n"
       "end subroutine r\n");
-  EXPECT_TRUE(a->cg.has_cycle());
-  const auto idx = a->cg.find("r", a->program);
-  ASSERT_TRUE(idx.has_value());
-  // The summary exists and is bounded (no runaway region lists).
-  for (const auto& [key, mr] : a->result.side_effects[*idx].effects) {
-    EXPECT_LE(mr.regions.size(), ModeRegions::kMaxRegions);
+  EXPECT_TRUE(a->result.callgraph.has_cycle());
+  // r(v, n) writes v(1:n) for every n in the declared 1..10; the summary
+  // must cover all of it, not just the window the last pass reached.
+  const ModeRegions* def = effects_of(*a, "r", "v", AccessMode::Def);
+  ASSERT_NE(def, nullptr);
+  EXPECT_LE(def->regions.size(), ModeRegions::kMaxRegions);
+  for (std::int64_t n = 1; n <= 10; ++n) {
+    for (std::int64_t i = 1; i <= n; ++i) {
+      EXPECT_TRUE(covers(*def, "n", n, i)) << "v(" << i << ") with n = " << n;
+    }
   }
+}
+
+TEST(Interproc, ConvergentRecursionKeepsItsExactSummary) {
+  // The recursive call's effect on v is already in r's own summary, so the
+  // regions converge: nothing is widened to the declared extent.
+  auto a = analyze(
+      "subroutine r(v, n)\n"
+      "  integer :: n\n"
+      "  double precision :: v(10)\n"
+      "  v(2) = 0.0\n"
+      "  if (n .gt. 1) then\n"
+      "    call r(v, n - 1)\n"
+      "  end if\n"
+      "end subroutine r\n");
+  const regions::Region* def = effect_of(*a, "r", "v", AccessMode::Def);
+  ASSERT_NE(def, nullptr);
+  EXPECT_EQ(def->str(), "(2:2:1)");
 }
 
 TEST(Interproc, AmbiguousBindingResolvesToZero) {
@@ -236,7 +271,7 @@ TEST(Interproc, AmbiguousBindingResolvesToZero) {
     if (st.name == "v" && st.storage == ir::StStorage::Formal) formal = idx;
   }
   ASSERT_NE(formal, ir::kInvalidSt);
-  EXPECT_EQ(InterprocAnalyzer::resolve_addr(formal, a->program, a->result.formal_binding), 0u);
+  EXPECT_EQ(resolve_addr(formal, a->program, a->result.formal_binding), 0u);
 }
 
 TEST(Interproc, PassThroughFormalChainsResolve) {
@@ -264,7 +299,7 @@ TEST(Interproc, PassThroughFormalChainsResolve) {
     if (st.name == "w") w = idx;
     if (st.name == "x") x = idx;
   }
-  EXPECT_EQ(InterprocAnalyzer::resolve_addr(w, a->program, a->result.formal_binding),
+  EXPECT_EQ(resolve_addr(w, a->program, a->result.formal_binding),
             a->program.symtab.st(x).addr);
 }
 

@@ -23,7 +23,7 @@ TEST(CauseKind, TagsRoundTripAndRejectUnknown) {
       CauseKind::ActualNotAffine,    CauseKind::CalleeLocalEscape,
       CauseKind::CalleeImprecision,  CauseKind::UnionWidening,
       CauseKind::UnionDrop,          CauseKind::LimitDemotion,
-      CauseKind::LoopNotParallel,
+      CauseKind::LoopNotParallel,    CauseKind::RecursionWidening,
   };
   for (const CauseKind k : kinds) {
     CauseKind back = CauseKind::NonAffineSubscript;
