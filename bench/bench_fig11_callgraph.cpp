@@ -23,7 +23,7 @@ void print_reproduction() {
   for (const auto& node : result.callgraph.nodes()) {
     std::printf(" %s", cc->program().symtab.st(node.proc_st).name.c_str());
   }
-  const auto project = ara::driver::build_dgn_project(cc->program(), result, "lu");
+  const auto project = ara::ipa::dgn_project(cc->program(), result.callgraph, "lu");
   const std::string dot = ara::dragon::callgraph_dot(project);
   std::printf("\n  DOT export: %zu bytes (starts \"digraph\"): %s\n\n", dot.size(),
               dot.rfind("digraph", 0) == 0 ? "yes" : "NO");
@@ -41,7 +41,7 @@ BENCHMARK(BM_BuildCallGraph)->Unit(benchmark::kMicrosecond);
 void BM_DotExport(benchmark::State& state) {
   auto cc = ara::bench::compile_lu();
   const auto result = cc->analyze();
-  const auto project = ara::driver::build_dgn_project(cc->program(), result, "lu");
+  const auto project = ara::ipa::dgn_project(cc->program(), result.callgraph, "lu");
   for (auto _ : state) {
     auto dot = ara::dragon::callgraph_dot(project);
     benchmark::DoNotOptimize(dot.size());

@@ -111,7 +111,7 @@ void BM_ExportDragonFiles(benchmark::State& state) {
   for (auto _ : state) {
     std::ostringstream sink;
     sink << ara::rgn::write_rgn(result.rows);
-    sink << ara::rgn::write_dgn(ara::driver::build_dgn_project(cc->program(), result, "lu"));
+    sink << ara::rgn::write_dgn(ara::ipa::dgn_project(cc->program(), result.callgraph, "lu"));
     sink << ara::cfg::write_cfg(ara::cfg::build_all(cc->program()));
     benchmark::DoNotOptimize(sink.str().size());
   }

@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << export_dir << "/project.{rgn,dgn,cfg}\n";
   }
 
-  ara::dragon::Session session(ara::driver::build_dgn_project(cc.program(), result, "project"),
+  ara::dragon::Session session(ara::ipa::dgn_project(cc.program(), result.callgraph, "project"),
                                result.rows);
 
   if (interactive) {

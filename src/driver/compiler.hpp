@@ -72,9 +72,4 @@ bool export_dragon_files(const std::vector<rgn::RegionRow>& rows, const rgn::Dgn
                          const std::string& cfg_text, const std::filesystem::path& dir,
                          const std::string& name, std::string* error = nullptr);
 
-/// Builds the in-memory .dgn project (files, procedures, call-graph edges).
-[[nodiscard]] rgn::DgnProject build_dgn_project(const ir::Program& program,
-                                                const ipa::AnalysisResult& result,
-                                                const std::string& name);
-
 }  // namespace ara::driver

@@ -87,9 +87,8 @@ struct EffectSummary {
 
 /// One call-site actual argument, pre-digested for formal->actual
 /// translation: either an array symbol, an affine scalar expression over
-/// the caller's variables, or neither (present but untranslatable).
+/// the caller's variables, or neither (untranslatable).
 struct ActualSummary {
-  bool present = false;
   bool is_array = false;
   std::uint32_t array_sym = 0;  // valid when is_array
   std::optional<regions::LinExpr> affine;

@@ -57,7 +57,7 @@ TEST_F(SessionTest, LoadRoundTripsTheProject) {
 }
 
 TEST_F(SessionTest, CallGraphDotHasAllProcedures) {
-  Session session(driver::build_dgn_project(cc_.program(), result_, "p"), result_.rows);
+  Session session(ipa::dgn_project(cc_.program(), result_.callgraph, "p"), result_.rows);
   const std::string dot = session.callgraph_dot();
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("\"main\""), std::string::npos);

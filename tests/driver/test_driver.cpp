@@ -111,7 +111,7 @@ TEST(Driver, DgnProjectNamesEntryProcedures) {
                 Language::Fortran);
   ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
   const auto result = cc.analyze();
-  const rgn::DgnProject project = build_dgn_project(cc.program(), result, "p");
+  const rgn::DgnProject project = ipa::dgn_project(cc.program(), result.callgraph, "p");
   const rgn::DgnProc* main_proc = project.find_proc("main");
   const rgn::DgnProc* s_proc = project.find_proc("s");
   ASSERT_NE(main_proc, nullptr);

@@ -234,7 +234,7 @@ TEST_F(LuTest, NegativeStrideSweepInButs) {
 }
 
 TEST_F(LuTest, DgnProjectRoundTrip) {
-  const rgn::DgnProject project = driver::build_dgn_project(cc_->program(), *result_, "lu");
+  const rgn::DgnProject project = ipa::dgn_project(cc_->program(), result_->callgraph, "lu");
   EXPECT_EQ(project.procedures.size(), 24u);
   EXPECT_GE(project.edges.size(), 20u);
   rgn::DgnProject back;

@@ -118,7 +118,7 @@ TEST(Batch, MatchesMonolithicPipeline) {
   ASSERT_TRUE(batch.ok);
   EXPECT_EQ(rgn::write_rgn(batch.link.rows), rgn::write_rgn(mono.rows));
   EXPECT_EQ(rgn::write_dgn(batch.link.project),
-            rgn::write_dgn(driver::build_dgn_project(cc.program(), mono, "fig1")));
+            rgn::write_dgn(ipa::dgn_project(cc.program(), mono.callgraph, "fig1")));
 }
 
 TEST(Batch, IncrementalReanalysisRecompilesOnlyTheEditedUnit) {

@@ -59,7 +59,7 @@ TEST(GlobalImport, ServeMatchesMonolithicOnCrossUnitGlobals) {
   ASSERT_TRUE(batch.ok) << "serve must resolve grid via the global import";
   EXPECT_EQ(rgn::write_rgn(batch.link.rows), rgn::write_rgn(mono.rows));
   EXPECT_EQ(rgn::write_dgn(batch.link.project),
-            rgn::write_dgn(driver::build_dgn_project(cc.program(), mono, "globals")));
+            rgn::write_dgn(ipa::dgn_project(cc.program(), mono.callgraph, "globals")));
 }
 
 TEST(GlobalImport, IndexIsEmptyWithoutASiblingToImportFrom) {

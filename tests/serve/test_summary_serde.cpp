@@ -73,6 +73,24 @@ TEST(SummarySerde, RoundTripPreservesStructure) {
   EXPECT_EQ(parsed->cfg_text, unit.cfg_text);
 }
 
+TEST(SummarySerde, ReadsAnOlderAbsentActualAsUntranslatable) {
+  // Entries written before every actual was digested may hold "-" for an
+  // argument without a value; it reads, and is written back, as "u".
+  std::string bytes = write_unit_summary(summarize(kUnit));
+  const std::size_t call = bytes.find("\ncall p1 ");
+  ASSERT_NE(call, std::string::npos);
+  const std::size_t eol = bytes.find('\n', call + 1);
+  const std::size_t last = bytes.rfind(' ', eol);  // the second actual, j
+  bytes.replace(last + 1, eol - last - 1, "-");
+  const std::optional<UnitSummary> parsed = parse_unit_summary(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  const ActualSummary& j = parsed->procs[1].callsites[0].actuals[1];
+  EXPECT_FALSE(j.is_array);
+  EXPECT_FALSE(j.affine.has_value());
+  const std::string rewritten = write_unit_summary(*parsed);
+  EXPECT_NE(rewritten.find(bytes.substr(call, last + 1 - call) + "u\n"), std::string::npos);
+}
+
 TEST(SummarySerde, RejectsGarbage) {
   EXPECT_FALSE(parse_unit_summary("").has_value());
   EXPECT_FALSE(parse_unit_summary("\n").has_value());
