@@ -540,13 +540,12 @@ std::string DaemonServer::handle_query(const json::Value& params) {
 std::string DaemonServer::handle_explain(const json::Value& params) {
   const std::string name = param_string(params, "project", "default");
   const std::string target = param_string(params, "target");
-  const bool loops = param_bool(params, "loops", false);
 
   const std::shared_ptr<serve::ProjectState> state = project(name, /*create=*/false);
   const std::shared_ptr<const serve::ProjectSnapshot> snap = state->snapshot();
   if (snap == nullptr) throw RequestError("project '" + name + "' has no completed analysis");
 
-  const std::string text = obs::render_explain(snap->provenance, target, loops);
+  const std::string text = obs::render_explain(snap->provenance, target, /*loops_only=*/false);
   std::ostringstream os;
   os << "{\"project\":\"" << json::escape(name) << "\",\"generation\":" << snap->generation
      << ",\"text\":\"" << json::escape(text) << "\"}";

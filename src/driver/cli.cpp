@@ -1,10 +1,10 @@
 #include "driver/cli.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -15,7 +15,6 @@
 #include "lno/dependence.hpp"
 #include "obs/eventlog.hpp"
 #include "obs/histogram.hpp"
-#include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
 #include "obs/report.hpp"
 #include "obs/stats.hpp"
@@ -23,6 +22,7 @@
 #include "obs/trace.hpp"
 #include "serve/engine.hpp"
 #include "serve/failure.hpp"
+#include "serve/globals.hpp"
 #include "support/faultinject.hpp"
 #include "support/limits.hpp"
 #include "support/string_utils.hpp"
@@ -36,10 +36,10 @@ namespace fs = std::filesystem;
 /// The exit-code contract (every return path funnels through these —
 /// documented in docs/robustness.md):
 ///   0  clean success
-///   1  total failure: usage error, unreadable input, compile/link error,
-///      resource limit in monolithic mode, internal error
+///   1  total failure: usage error, unreadable input, no unit survived,
+///      link or export error, internal error
 ///   2  partial success: some units failed but the survivors linked and
-///      their results were produced (batch engine only)
+///      their results were produced
 constexpr int kClean = 0;
 constexpr int kFatal = 1;
 constexpr int kPartial = 2;
@@ -50,15 +50,14 @@ struct CliOptions {
   std::string export_dir;   // empty = no Dragon export
   std::string trace_file;   // empty = no trace
   std::string metrics_out;  // empty = no --metrics-out report
-  std::string events_file;  // empty = derive from --metrics-out (batch runs)
-  std::string profile_file;            // empty = no sampling profiler
-  std::uint64_t profile_interval_us = 250;  // sampling period for --profile
+  std::string events_file;  // empty = derive from --metrics-out
+  std::string profile_file;  // empty = no folded span profile
   bool stats = false;
   bool time_report = false;
   bool no_ipa = false;
   bool dump_ir = false;
   bool quiet = false;
-  long jobs = 0;          // 0 = flag absent (monolithic pipeline)
+  long jobs = 0;          // 0 = flag absent (one worker)
   std::string cache_dir;  // empty = no summary cache
   bool no_cache = false;
   std::string daemon_socket;  // --daemon-connect: analyze via a running arad
@@ -86,9 +85,6 @@ struct CliOptions {
   [[nodiscard]] bool want_loops() const {
     return explain || explain_loops || !provenance_out.empty();
   }
-  /// The batch engine runs whenever its flags are used; otherwise the
-  /// monolithic pipeline keeps its historical behavior.
-  [[nodiscard]] bool serve() const { return jobs > 0 || !cache_dir.empty(); }
 };
 
 void usage(std::ostream& out) {
@@ -105,29 +101,27 @@ void usage(std::ostream& out) {
          "  --trace FILE      write a Chrome trace-event JSON file\n"
          "                    (load it at ui.perfetto.dev or chrome://tracing)\n"
          "  --metrics-out FILE  write the run ledger (counters + latency\n"
-         "                    histogram percentiles, ara.metrics.v1); batch runs\n"
-         "                    also write FILE's stem + .events.jsonl\n"
+         "                    histogram percentiles, ara.metrics.v1) and the\n"
+         "                    event log to FILE's stem + .events.jsonl\n"
          "  --events FILE     write the per-unit lifecycle event log (JSONL,\n"
          "                    ara.events.v1) to an explicit path\n"
-         "  --profile FILE    sample worker span stacks into FILE in collapsed\n"
-         "                    (flamegraph.pl / speedscope) format\n"
-         "  --profile-interval-us N  sampling period for --profile (default 250)\n"
+         "  --profile FILE    write the span tree's self times (us) into FILE in\n"
+         "                    collapsed (flamegraph.pl / speedscope) format\n"
          "  --explain [ARRAY[@PROC]]  after analysis, name the cause of every\n"
          "                    precision loss (messy/unprojected dimension) with\n"
          "                    its source line; optional target filter\n"
          "  --loops           with --explain: report why loops stayed serial,\n"
-         "                    citing the blocking dependence pair (monolithic\n"
-         "                    pipeline only)\n"
+         "                    citing the blocking dependence pair\n"
          "  --provenance-out FILE  write the cause records as JSONL\n"
          "                    (ara.prov.v1); byte-identical across --jobs\n"
          "                    values and cache states\n"
          "  --no-ipa          skip interprocedural propagation (-IPA off)\n"
-         "  --dump-ir         dump the lowered WHIRL trees to stdout\n"
+         "  --dump-ir         dump each unit's lowered WHIRL trees to stdout\n"
          "  --quiet           suppress the region table and summary\n"
-         "  --jobs N          batch engine: analyze units on N worker threads\n"
-         "                    (output is byte-identical for every N)\n"
-         "  --cache-dir DIR   batch engine: persistent summary cache; unchanged\n"
-         "                    units skip parsing and local analysis\n"
+         "  --jobs N          analyze units on N worker threads (default 1;\n"
+         "                    output is byte-identical for every N)\n"
+         "  --cache-dir DIR   persistent summary cache; unchanged units skip\n"
+         "                    parsing and local analysis\n"
          "  --no-cache        ignore the cache for this run (don't read or write)\n"
          "  --daemon-connect SOCKET  send the analysis to a running arad on\n"
          "                    SOCKET instead of analyzing in-process; unchanged\n"
@@ -149,9 +143,9 @@ void usage(std::ostream& out) {
          "  --max-arrays N        arrays declared per unit cap (default 10000)\n"
          "  --unit-timeout-ms N   per-unit wall-clock watchdog (default 0 = off)\n"
          "\n"
-         "exit codes: 0 success; 1 total failure (usage, compile, link, limits);\n"
-         "2 partial success (batch engine: some units failed, survivors linked,\n"
-         "NAME.failures.json written)\n";
+         "exit codes: 0 success; 1 total failure (usage, no unit survived, link);\n"
+         "2 partial success (some units failed, survivors linked); any failed\n"
+         "unit is named in NAME.failures.json\n";
 }
 
 /// Parses a non-negative integer CLI value; reports through `err`.
@@ -206,9 +200,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* cli, std::ostr
       const std::string* v = next("--profile");
       if (v == nullptr) return false;
       cli->profile_file = *v;
-    } else if (a == "--profile-interval-us") {
-      const std::string* v = next("--profile-interval-us");
-      if (v == nullptr || !parse_u64(a, *v, &cli->profile_interval_us, err)) return false;
     } else if (a == "--stats") {
       cli->stats = true;
     } else if (a == "--time-report") {
@@ -313,14 +304,56 @@ bool write_file(const fs::path& path, const std::string& text, std::ostream& err
   return true;
 }
 
-/// The batch-engine path (`--jobs` / `--cache-dir`): parallel per-unit
-/// analysis + summary cache + serial link, same outputs as the monolithic
-/// pipeline below.
-int run_serve(const CliOptions& cli, std::ostream& out, std::ostream& err) {
-  if (cli.dump_ir) {
-    err << "arac: --dump-ir is unavailable with --jobs/--cache-dir "
-           "(the batch engine keeps no whole-program IR); ignoring\n";
+/// The pass behind --dump-ir and the loop verdicts, over the units that
+/// survived the batch. Each is compiled alone, by the engine's own unit
+/// compile and under the unit limits, since the engine keeps no IR (and a
+/// cached unit was never compiled). A loop that stays serial becomes a
+/// LoopNotParallel record under the unit's index, numbered on from the
+/// unit's own records: it sorts after them and before the next unit's.
+/// Verdicts stay out of the summaries and the cache: they cost more than
+/// the unit's compile and summary together, and only these flags read them.
+void recompile_units(const CliOptions& cli, const std::vector<serve::SourceBuffer>& sources,
+                     serve::BatchResult& result, std::ostream& out) {
+  ARA_SPAN("recompile", "driver");
+  const fe::GlobalImportTable globals = serve::build_global_index(sources);
+  std::vector<std::uint32_t> next_seq(sources.size(), 0);
+  for (const obs::ProvRecord& r : result.provenance) {
+    if (r.unit < sources.size()) next_seq[r.unit] = std::max(next_seq[r.unit], r.seq + 1);
   }
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (result.units[i].status == serve::UnitStatus::Failed) continue;
+    const support::LimitScope guard(cli.limits);
+    ir::Program program;
+    std::string diagnostics;
+    if (!serve::compile_unit(sources[i], globals, program, &diagnostics)) continue;
+    if (cli.dump_ir) out << ir::dump_program(program);
+    if (!cli.want_loops()) continue;
+    for (const lno::LoopAnalysis& la :
+         lno::find_parallel_loops(program, ipa::CallGraph::build(program))) {
+      if (la.verdict == lno::LoopVerdict::Parallelizable) continue;
+      obs::ProvRecord rec;
+      rec.unit = static_cast<std::uint32_t>(i);
+      rec.seq = next_seq[i]++;
+      rec.kind = obs::CauseKind::LoopNotParallel;
+      rec.proc = la.proc;
+      rec.array = la.dep_array;
+      rec.file = sources[i].name;
+      rec.line = la.line;
+      rec.detail = "loop over '" + la.index_var + "' stayed serial: " + la.detail;
+      if (la.dep_line_a != 0) {
+        rec.detail += " (DEF at line " + std::to_string(la.dep_line_a) +
+                      " conflicts with the reference at line " +
+                      std::to_string(la.dep_line_b) + ")";
+      }
+      result.provenance.push_back(std::move(rec));
+    }
+  }
+}
+
+/// Every in-process run: the batch engine's parallel per-unit analysis
+/// (one worker without --jobs), the summary cache when --cache-dir names
+/// one, and the serial link.
+int run_local(const CliOptions& cli, std::ostream& out, std::ostream& err) {
   std::vector<serve::SourceBuffer> sources;
   for (const fs::path& src : cli.sources) {
     std::string warning;
@@ -339,8 +372,7 @@ int run_serve(const CliOptions& cli, std::ostream& out, std::ostream& err) {
   bopts.use_cache = !cli.no_cache;
   bopts.interprocedural = !cli.no_ipa;
   bopts.limits = cli.limits;
-  const serve::BatchResult result = serve::run_batch(sources, bopts, cli.name);
-  if (cli.provenance()) obs::ProvenanceLedger::instance().append(result.provenance);
+  serve::BatchResult result = serve::run_batch(sources, bopts, cli.name);
 
   // Unit diagnostics come back in input order regardless of which worker
   // produced them; link diagnostics (duplicate definitions, unresolved
@@ -370,6 +402,9 @@ int run_serve(const CliOptions& cli, std::ostream& out, std::ostream& err) {
         << " units failed; see " << report.string() << "\n";
   }
   if (rc == kFatal) return rc;
+
+  if (cli.dump_ir || cli.want_loops()) recompile_units(cli, sources, result, out);
+  if (cli.provenance()) obs::ProvenanceLedger::instance().append(std::move(result.provenance));
 
   if (!cli.quiet) {
     out << cli.name << ": " << result.link.project.procedures.size() << " procedures, "
@@ -402,7 +437,7 @@ int run_serve(const CliOptions& cli, std::ostream& out, std::ostream& err) {
 
 /// `--daemon-connect`: ship the sources to a running arad (ara.rpc.v1) and
 /// render its answers — the same console output, exports and 0/1/2 exit
-/// contract as the in-process paths, but unchanged units replay from the
+/// contract as an in-process run, but unchanged units replay from the
 /// daemon's warm state instead of being re-analyzed.
 int run_daemon_client(const CliOptions& cli, std::ostream& out, std::ostream& err) {
   std::vector<serve::SourceBuffer> sources;
@@ -528,8 +563,8 @@ int run_daemon_client(const CliOptions& cli, std::ostream& out, std::ostream& er
     if (!text.has_value() || !write_file(cli.provenance_out, *text, err)) final_rc = kFatal;
   }
   if (cli.explain_loops) {
-    err << "arac: --loops explanations need the whole-program IR and are "
-           "unavailable with --daemon-connect\n";
+    err << "arac: --loops is unavailable with --daemon-connect "
+           "(the daemon computes no loop verdicts)\n";
   }
   if (cli.explain) {
     const std::optional<daemon::RpcReply> q = client.call_retry(
@@ -545,89 +580,6 @@ int run_daemon_client(const CliOptions& cli, std::ostream& out, std::ostream& er
     }
   }
   return final_rc;
-}
-
-/// The monolithic pipeline (`arac` without --jobs/--cache-dir). Runs under
-/// the CLI's resource limits; a tripped cap propagates as
-/// ResourceLimitError and run_arac's sink turns it into exit 1.
-int run_mono(const CliOptions& cli, std::ostream& out, std::ostream& err) {
-  const support::LimitScope guard(cli.limits);
-  int rc = kClean;
-
-  // Provenance capture for the whole monolithic run (unit 0); the vector is
-  // handed to the process ledger once analysis (and any loop verdicts) are
-  // in, so --explain / --provenance-out render from one place.
-  std::vector<obs::ProvRecord> prov;
-  std::optional<obs::ProvSink> prov_sink;
-  if (cli.provenance()) prov_sink.emplace(&prov, 0);
-
-  Compiler cc;
-  for (const fs::path& src : cli.sources) {
-    if (!cc.add_file(src)) {
-      err << "arac: cannot read " << src.string() << "\n";
-      return kFatal;
-    }
-  }
-  const bool compiled = cc.compile();
-  // Diagnostics always reach the user: warnings on successful compiles
-  // used to vanish here (satellite of ISSUE 3).
-  const std::string diag_text = cc.diagnostics().render();
-  if (!diag_text.empty()) err << diag_text;
-  if (!compiled) return kFatal;
-
-  if (cli.dump_ir) out << ir::dump_program(cc.program());
-
-  ipa::AnalyzeOptions aopts;
-  aopts.interprocedural = !cli.no_ipa;
-  const ipa::AnalysisResult result = cc.analyze(aopts);
-
-  if (!cli.quiet) {
-    out << cli.name << ": " << result.callgraph.size() << " procedures, "
-        << result.callgraph.edge_count() << " call edges, " << result.rows.size()
-        << " region rows\n";
-    out << rgn::render_table(result.rows);
-  }
-
-  if (!cli.export_dir.empty()) {
-    std::string error;
-    if (!export_dragon_files(cc.program(), result, cli.export_dir, cli.name, &error)) {
-      err << "arac: " << error << "\n";
-      rc = kFatal;
-    } else if (!cli.quiet) {
-      out << "wrote " << (fs::path(cli.export_dir) / cli.name).string()
-          << ".{rgn,dgn,cfg" << (cli.telemetry() ? ",stats.json" : "") << "}\n";
-    }
-  }
-
-  // Loop verdicts, emitted as LoopNotParallel records citing the blocking
-  // dependence pair. Only runs when someone reads them (--explain /
-  // --provenance-out): the dependence tests are extra Fourier–Motzkin work.
-  if (prov_sink.has_value() && cli.want_loops()) {
-    const ir::Program& program = cc.program();
-    const std::vector<lno::LoopAnalysis> loops =
-        lno::find_parallel_loops(program, result.callgraph);
-    std::map<std::string, std::string, std::less<>> proc_file;
-    for (std::uint32_t n = 0; n < result.callgraph.size(); ++n) {
-      const ipa::CGNode& node = result.callgraph.node(n);
-      proc_file[program.symtab.st(node.proc_st).name] =
-          program.sources.name(node.proc->file);
-    }
-    for (const lno::LoopAnalysis& la : loops) {
-      if (la.verdict == lno::LoopVerdict::Parallelizable) continue;
-      std::string detail = "loop over '" + la.index_var + "' stayed serial: " + la.detail;
-      if (la.dep_line_a != 0) {
-        detail += " (DEF at line " + std::to_string(la.dep_line_a) +
-                  " conflicts with the reference at line " + std::to_string(la.dep_line_b) +
-                  ")";
-      }
-      obs::prov_record(obs::CauseKind::LoopNotParallel,
-                       {la.proc, la.dep_array, proc_file[la.proc], la.line}, -1, detail);
-    }
-  }
-
-  prov_sink.reset();
-  if (cli.provenance()) obs::ProvenanceLedger::instance().append(std::move(prov));
-  return rc;
 }
 
 /// Disarms fault injection when the invocation that armed it returns, so
@@ -678,18 +630,14 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
   }
   if (cli.provenance()) obs::ProvenanceLedger::instance().clear();
 
-  std::optional<obs::Profiler> profiler;
-  if (!cli.profile_file.empty()) {
-    profiler.emplace(std::chrono::microseconds(cli.profile_interval_us));
-    profiler->start();
-  }
-
-  // The single error sink: every failure mode of both pipelines lands here
-  // and maps onto the 0/1/2 contract. The catch-all exists so an internal
-  // bug exits 1 with a message instead of an abort.
+  // The single error sink: every failure mode lands here and maps onto the
+  // 0/1/2 contract. A unit's own failures never reach it (the engine demotes
+  // them); a cap tripped while recompiling a unit for its loop verdicts
+  // does. The catch-all exists so an internal bug exits 1 with a message
+  // instead of an abort.
   int rc = kClean;
   try {
-    rc = cli.serve() ? run_serve(cli, out, err) : run_mono(cli, out, err);
+    rc = run_local(cli, out, err);
   } catch (const support::ResourceLimitError& e) {
     err << "arac: resource limit exceeded: " << e.what() << "\n";
     rc = kFatal;
@@ -697,20 +645,16 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     err << "arac: internal error: " << e.what() << "\n";
     rc = kFatal;
   }
-  if (profiler.has_value()) profiler->stop();
   if (rc == kFatal) {
     obs::set_enabled(was_enabled);
     return rc;
   }
 
-  // Provenance rendering: the ledger was filled by whichever pipeline ran
-  // (run_mono's sink or the batch engine's per-unit capture).
+  // Provenance rendering, from the engine's per-unit and link records plus
+  // the loop verdicts.
   if (cli.explain || cli.explain_loops) {
     const std::vector<obs::ProvRecord> merged = obs::ProvenanceLedger::instance().merged();
-    if (cli.explain_loops && cli.serve()) {
-      err << "arac: --loops explanations need the whole-program IR and are "
-             "unavailable with --jobs/--cache-dir\n";
-    } else if (cli.explain_loops) {
+    if (cli.explain_loops) {
       out << obs::render_explain(merged, cli.explain_target, /*loops_only=*/true);
     }
     if (cli.explain) {
@@ -725,8 +669,8 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     rc = 1;
   }
 
-  // Telemetry rendering happens after the compiler is destroyed so every
-  // span is closed before the report/trace snapshot.
+  // Telemetry rendering happens after the run returned, so every span is
+  // closed before the report/trace snapshot.
   if (cli.stats) {
     out << obs::render_stats_table(/*nonzero_only=*/true);
     // Without an export dir the stats file lands next to the caller.
@@ -748,10 +692,10 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     rc = 1;
   }
   // The lifecycle event log: an explicit --events path wins; otherwise a
-  // batch-engine --metrics-out run derives `<stem>.events.jsonl` so the
-  // full ledger comes from one flag.
+  // --metrics-out run derives `<stem>.events.jsonl` so the full ledger
+  // comes from one flag.
   std::string events_path = cli.events_file;
-  if (events_path.empty() && !cli.metrics_out.empty() && cli.serve()) {
+  if (events_path.empty() && !cli.metrics_out.empty()) {
     fs::path p(cli.metrics_out);
     p.replace_extension();
     events_path = p.string() + ".events.jsonl";
@@ -761,8 +705,9 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
                   obs::write_events_jsonl(obs::EventLog::instance().merged(), cli.name), err)) {
     rc = 1;
   }
-  if (profiler.has_value() &&
-      !write_file(cli.profile_file, obs::Profiler::write_folded(profiler->folded()), err)) {
+  if (!cli.profile_file.empty() &&
+      !write_file(cli.profile_file,
+                  obs::render_folded(obs::Timeline::instance().completed()), err)) {
     rc = 1;
   }
 

@@ -18,9 +18,9 @@ namespace ara::driver {
 /// Runs the arac CLI with `args` (argv[1..], program name excluded).
 /// Normal output goes to `out`, diagnostics and errors to `err`.
 /// Returns the process exit code: 0 clean success; 1 total failure (usage
-/// errors, compile/link/export failures, resource limits, internal errors);
-/// 2 partial success (a batch run dropped some units but the survivors
-/// linked — see <name>.failures.json). docs/robustness.md has the contract.
+/// errors, no unit survived, link/export failures, internal errors);
+/// 2 partial success (the run dropped some units but the survivors linked —
+/// see <name>.failures.json). docs/robustness.md has the contract.
 int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);
 
 }  // namespace ara::driver

@@ -109,13 +109,26 @@ class Scanner {
     for (std::size_t i = 0; i < n; ++i) visit_expr(*arr.array_index(i));
   }
 
+  /// An Iload/Istore address: an Array node, or a Coindex (remote coarray
+  /// access) whose kids are the Array and the image index. A remote element
+  /// is recorded as the local array's element, which errs on the safe side;
+  /// the image index's scalar reads still count.
+  void record_address(const WN& addr, bool is_def) {
+    if (addr.opr() != Opr::Coindex) {
+      record_array(addr, is_def);
+      return;
+    }
+    record_array(*addr.kid(0), is_def);
+    visit_expr(*addr.kid(1));
+  }
+
   void visit_expr(const WN& wn) {
     switch (wn.opr()) {
       case Opr::Ldid:
         note_scalar(wn.st_idx(), /*is_def=*/false);
         return;
       case Opr::Iload:
-        record_array(*wn.kid(0), /*is_def=*/false);
+        record_address(*wn.kid(0), /*is_def=*/false);
         return;
       case Opr::Array:
         record_array(wn, /*is_def=*/false);
@@ -134,7 +147,7 @@ class Scanner {
         return;
       case Opr::Istore:
         visit_expr(*wn.kid(0));
-        record_array(*wn.kid(1), /*is_def=*/true);
+        record_address(*wn.kid(1), /*is_def=*/true);
         return;
       case Opr::DoLoop: {
         const auto lo = wn_to_affine(*wn.loop_init(), program_.symtab);

@@ -55,8 +55,8 @@ enum class CauseKind : std::uint8_t {
 /// every real unit and renders as "link" in the JSONL export.
 inline constexpr std::uint32_t kLinkUnit = 0xffffffffu;
 
-/// One cause record. `unit` is the translation-unit input index (0 in the
-/// monolithic pipeline, kLinkUnit for link-phase records); `seq` is the
+/// One cause record. `unit` is the translation-unit input index (0 under a
+/// whole-program ProvSink, kLinkUnit for link-phase records); `seq` is the
 /// capture order within the unit — together they are the deterministic
 /// merge key. `dim` is the 0-based dimension index, -1 when the cause is
 /// not about one dimension (calls, loops, whole-unit demotions).
@@ -136,8 +136,8 @@ class ProvScope {
 };
 
 /// Process-global store the driver renders from. Captured vectors are
-/// appended from single-threaded points (the batch engine between phases,
-/// the monolithic driver after analysis); merged() re-sorts by (unit, seq)
+/// appended from single-threaded points (the arac driver after the batch
+/// and its loop verdicts); merged() re-sorts by (unit, seq)
 /// so the export order matches the event-log contract regardless of append
 /// order.
 class ProvenanceLedger {

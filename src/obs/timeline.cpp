@@ -13,8 +13,7 @@ std::uint64_t steady_ns() {
 }
 
 // The worker lane stamped onto events. Lane assignment is per-thread and
-// read on every begin(); the open-span stacks themselves live inside the
-// Timeline (under its mutex) so the sampling profiler can see them.
+// read on every begin().
 thread_local std::uint32_t t_lane = 0;
 
 }  // namespace
@@ -40,18 +39,17 @@ void Timeline::clear() {
 
 std::uint32_t Timeline::begin(std::string name, std::string cat) {
   std::lock_guard<std::mutex> lock(mu_);
-  ThreadState& ts = threads_[std::this_thread::get_id()];
-  ts.lane = t_lane;
+  std::vector<std::uint32_t>& stack = threads_[std::this_thread::get_id()];
   Rec rec;
   rec.ev.name = std::move(name);
   rec.ev.cat = std::move(cat);
   rec.ev.start_ns = now_ns();
-  rec.ev.parent = ts.stack.empty() ? -1 : static_cast<std::int32_t>(ts.stack.back());
-  rec.ev.depth = static_cast<std::uint32_t>(ts.stack.size());
+  rec.ev.parent = stack.empty() ? -1 : static_cast<std::int32_t>(stack.back());
+  rec.ev.depth = static_cast<std::uint32_t>(stack.size());
   rec.ev.lane = t_lane;
   const auto id = static_cast<std::uint32_t>(events_.size());
   events_.push_back(std::move(rec));
-  ts.stack.push_back(id);
+  stack.push_back(id);
   return id;
 }
 
@@ -64,7 +62,7 @@ void Timeline::end(std::uint32_t id) {
   // thread's stack is touched; other lanes' open spans are unaffected.
   auto it = threads_.find(std::this_thread::get_id());
   if (it == threads_.end()) return;
-  std::vector<std::uint32_t>& stack = it->second.stack;
+  std::vector<std::uint32_t>& stack = it->second;
   while (!stack.empty()) {
     const std::uint32_t top = stack.back();
     stack.pop_back();
@@ -94,21 +92,6 @@ std::vector<SpanEvent> Timeline::completed() const {
     ev.parent = parent >= 0 ? remap[static_cast<std::size_t>(parent)] : -1;
     remap[i] = static_cast<std::int32_t>(out.size());
     out.push_back(std::move(ev));
-  }
-  return out;
-}
-
-std::vector<StackSample> Timeline::sample_stacks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<StackSample> out;
-  out.reserve(threads_.size());
-  for (const auto& [tid, ts] : threads_) {
-    if (ts.stack.empty()) continue;
-    StackSample sample;
-    sample.lane = ts.lane;
-    sample.frames.reserve(ts.stack.size());
-    for (const std::uint32_t id : ts.stack) sample.frames.push_back(events_[id].ev.name);
-    out.push_back(std::move(sample));
   }
   return out;
 }

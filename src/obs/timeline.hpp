@@ -38,18 +38,10 @@ struct SpanEvent {
 void set_lane(std::uint32_t lane);
 [[nodiscard]] std::uint32_t lane();
 
-/// One thread's open-span stack at a sampling instant (root first), for
-/// the collapsed-stack profiler (obs/profiler.hpp).
-struct StackSample {
-  std::uint32_t lane = 0;
-  std::vector<std::string> frames;  // span names, root -> leaf
-};
-
 /// Process-global span recorder. Thread-safe: the event vector and every
 /// thread's open-span stack live behind one mutex (begin/end take it
 /// anyway), so spans nest within their own lane (worker) while many lanes
-/// record concurrently — and the sampling profiler can snapshot every
-/// worker's live stack from outside.
+/// record concurrently.
 class Timeline {
  public:
   static Timeline& instance();
@@ -70,11 +62,6 @@ class Timeline {
   /// open are excluded.
   [[nodiscard]] std::vector<SpanEvent> completed() const;
 
-  /// Every thread's currently-open span stack (threads with no open span
-  /// are skipped). Safe to call from any thread at any time; this is the
-  /// profiler's sampling primitive.
-  [[nodiscard]] std::vector<StackSample> sample_stacks() const;
-
   [[nodiscard]] bool empty() const {
     std::lock_guard<std::mutex> lock(mu_);
     return events_.empty();
@@ -88,14 +75,10 @@ class Timeline {
     SpanEvent ev;
     bool open = true;
   };
-  /// A thread's open-span state: indices into events_ plus its lane.
-  struct ThreadState {
-    std::vector<std::uint32_t> stack;
-    std::uint32_t lane = 0;
-  };
   mutable std::mutex mu_;
   std::vector<Rec> events_;
-  std::map<std::thread::id, ThreadState> threads_;  // open stacks, by thread
+  /// Each thread's open spans, innermost last (indices into events_).
+  std::map<std::thread::id, std::vector<std::uint32_t>> threads_;
   std::uint64_t epoch_ns_ = 0;  // steady-clock origin for start_ns
 };
 

@@ -101,6 +101,19 @@ std::optional<SourceBuffer> read_source(const std::filesystem::path& path,
   return src;
 }
 
+bool compile_unit(const SourceBuffer& source, const fe::GlobalImportTable& globals,
+                  ir::Program& program, std::string* diagnostics,
+                  std::vector<fe::ExternRef>* externs, std::vector<std::string>* imports) {
+  program.sources.add(source.name, source.text, source.lang);
+  DiagnosticEngine diags(&program.sources);
+  fe::CompileOptions copts;
+  copts.external_calls = true;
+  copts.imports = globals.empty() ? nullptr : &globals;
+  const bool ok = fe::compile_program(program, diags, copts, externs, imports);
+  *diagnostics = diags.render();
+  return ok;
+}
+
 std::size_t IncrementalState::resident_bytes() const {
   // Deliberately rough: strings dominate a UnitSummary's footprint, so the
   // estimate sums the big blobs plus a fixed per-record overhead.
@@ -278,21 +291,15 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
         }
 
         // Miss (or caching off, or dependency-invalidated): compile this
-        // unit alone, with unresolved calls deferred to the link phase and
-        // undeclared C globals resolved from the sibling-unit import index.
+        // unit alone.
         ir::Program program;
-        program.sources.add(sources[i].name, sources[i].text, sources[i].lang);
-        DiagnosticEngine diags(&program.sources);
         std::vector<fe::ExternRef> externs;
-        fe::CompileOptions copts;
-        copts.external_calls = true;
-        copts.imports = import_index.empty() ? nullptr : &import_index;
         bool ok = false;
         {
           obs::ScopedLatency parse_latency(hist_unit_parse);
-          ok = fe::compile_program(program, diags, copts, &externs, &unit_imports[i]);
+          ok = compile_unit(sources[i], import_index, program, &report.diagnostics, &externs,
+                            &unit_imports[i]);
         }
-        report.diagnostics = diags.render();
         if (!ok) {
           fail_unit(report, i, FailureKind::Compile, "unit did not compile");
           return;

@@ -1,11 +1,12 @@
-// The batch-analysis engine (`arac --jobs N --cache-dir DIR`): the serve
-// subsystem's front door, sitting between the CLI and the compiler
-// pipeline. It runs the per-unit phase — parse, lower, IPL local analysis,
-// summarization — on a work-stealing thread pool, one task per translation
-// unit, consulting the persistent summary cache first so unchanged files
-// skip the front end entirely; then it joins the summaries in the serial
-// link phase (serve/link.hpp) into the same .rgn/.dgn/.cfg outputs the
-// monolithic pipeline produces.
+// The batch-analysis engine behind every local `arac` run (`--jobs N`
+// workers, one by default; `--cache-dir DIR`) and every `arad` analyze:
+// the serve subsystem's front door, sitting between the CLI and the
+// compiler pipeline. It runs the per-unit phase — parse, lower, IPL local
+// analysis, summarization — on a work-stealing thread pool, one task per
+// translation unit, consulting the persistent summary cache first so
+// unchanged files skip the front end entirely; then it joins the summaries
+// in the serial link phase (serve/link.hpp) into the same .rgn/.dgn/.cfg
+// outputs the whole-program library path (driver::Compiler) produces.
 //
 // Output bytes are a function of the input sources and options only: not of
 // --jobs, not of cache hits vs misses. tests/serve enforces this.
@@ -112,6 +113,17 @@ struct SourceBuffer {
 /// (when non-null) receives the unknown-extension message, if any.
 [[nodiscard]] std::optional<SourceBuffer> read_source(const std::filesystem::path& path,
                                                       std::string* warning);
+
+/// Compiles one unit alone into `program`, as the engine does on a cache
+/// miss: calls to procedures the unit does not define are deferred to the
+/// link phase, and undeclared C globals resolve against `globals` (the
+/// build_global_index of every unit in the run). `diagnostics` receives the
+/// rendered unit diagnostics; `externs` and `imports` are filled as
+/// fe::compile_program fills them. False when the unit does not compile.
+[[nodiscard]] bool compile_unit(const SourceBuffer& source, const fe::GlobalImportTable& globals,
+                                ir::Program& program, std::string* diagnostics,
+                                std::vector<fe::ExternRef>* externs = nullptr,
+                                std::vector<std::string>* imports = nullptr);
 
 /// One unit summary held in memory across runs (daemon warm state).
 struct ResidentUnit {

@@ -38,6 +38,11 @@ std::shared_ptr<const ProjectSnapshot> ProjectState::analyze(
     snap->provenance = std::move(result.provenance);
   }
   snap->link_diagnostics = result.link.diags.render();
+  snap->resident_bytes = inc_.resident_bytes() + snap->rgn_text.size() +
+                         snap->dgn_text.size() + snap->cfg_text.size() +
+                         snap->provenance_jsonl.size() +
+                         snap->rows.size() * (sizeof(rgn::RegionRow) + 96) +
+                         snap->provenance.size() * (sizeof(obs::ProvRecord) + 48);
 
   {
     const std::lock_guard<std::mutex> publishing(snap_mu_);
@@ -52,18 +57,8 @@ std::shared_ptr<const ProjectSnapshot> ProjectState::snapshot() const {
 }
 
 std::size_t ProjectState::resident_bytes() const {
-  std::size_t total = 0;
-  {
-    const std::lock_guard<std::mutex> analyzing(analyze_mu_);
-    total += inc_.resident_bytes();
-  }
-  if (const auto snap = snapshot()) {
-    total += snap->rgn_text.size() + snap->dgn_text.size() + snap->cfg_text.size() +
-             snap->provenance_jsonl.size();
-    total += snap->rows.size() * (sizeof(rgn::RegionRow) + 96);
-    total += snap->provenance.size() * (sizeof(obs::ProvRecord) + 48);
-  }
-  return total;
+  const std::shared_ptr<const ProjectSnapshot> snap = snapshot();
+  return snap != nullptr ? snap->resident_bytes : 0;
 }
 
 }  // namespace ara::serve

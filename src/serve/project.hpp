@@ -42,6 +42,11 @@ struct ProjectSnapshot {
   std::string provenance_jsonl;
   std::vector<obs::ProvRecord> provenance;  // (unit, seq) merged order
   std::string link_diagnostics;
+  /// Rough resident footprint of the project when this snapshot was
+  /// published (incremental state + snapshot text), for the daemon's LRU
+  /// memory budget. Recorded at publication so reading it never waits on
+  /// a running analysis.
+  std::size_t resident_bytes = 0;
 };
 
 class ProjectState {
@@ -59,8 +64,8 @@ class ProjectState {
   /// The latest published snapshot; nullptr before the first analyze().
   [[nodiscard]] std::shared_ptr<const ProjectSnapshot> snapshot() const;
 
-  /// Rough resident footprint (incremental state + snapshot text), for the
-  /// daemon's LRU memory budget.
+  /// The latest snapshot's resident_bytes (0 before the first analyze()).
+  /// Never blocks on an analysis in flight.
   [[nodiscard]] std::size_t resident_bytes() const;
 
   /// LRU bookkeeping.
@@ -71,7 +76,7 @@ class ProjectState {
 
  private:
   std::string name_;
-  mutable std::mutex analyze_mu_;  // one analysis at a time per project
+  std::mutex analyze_mu_;          // one analysis at a time per project
   mutable std::mutex snap_mu_;     // guards the snapshot_ pointer swap
   std::shared_ptr<const ProjectSnapshot> snapshot_;
   IncrementalState inc_;

@@ -429,6 +429,62 @@ TEST(Daemon, DefaultDeadlineAppliesWhenTheRequestCarriesNone) {
   EXPECT_GE(num(reply->result, "timeout_units"), 1u);
 }
 
+TEST(Daemon, StatusAndOtherProjectsNeverWaitOnASlowAnalyze) {
+  // Project "idle" has a published snapshot; then "slow" analyzes 20 units
+  // that each sleep 100 ms (2 s in all). A status sent 200 ms in and a
+  // query on "idle" sent 100 ms later must answer at once: the project
+  // sizes that status and the memory budget read are recorded when a
+  // snapshot is published, never computed under a running analysis.
+  RunningDaemon d(DaemonOptions{temp_socket("stall"), 4, 512, 1});
+  ASSERT_TRUE(d.started);
+  DaemonClient setup;
+  ASSERT_TRUE(setup.connect(d.server.socket_path(), nullptr));
+  ASSERT_TRUE(setup.call("analyze", two_unit_params("idle"))->ok);
+
+  std::ostringstream slow;
+  slow << "{\"project\":\"slow\",\"sources\":[";
+  for (int u = 0; u < 20; ++u) {
+    const std::string n = std::to_string(u);
+    slow << (u == 0 ? "" : ",") << "{\"name\":\"u" << n << ".c\",\"lang\":\"c\",\"text\":\""
+         << json::escape(c_unit("a" + n, "p" + n)) << "\"}";
+  }
+  slow << "]}";
+
+  struct Disarm {
+    ~Disarm() { fi::disarm(); }
+  } disarm;
+  ASSERT_TRUE(fi::configure("unit.analyze=delay:100", nullptr));
+  std::thread analyzer([&] {
+    DaemonClient c;
+    ASSERT_TRUE(c.connect(d.server.socket_path(), nullptr));
+    auto r = c.call("analyze", slow.str());
+    EXPECT_TRUE(r.has_value() && r->ok);
+  });
+  // Milliseconds one call on a fresh connection takes to answer ok.
+  auto timed = [&](const char* method, const std::string& params) -> long {
+    DaemonClient c;
+    if (!c.connect(d.server.socket_path(), nullptr)) return -1;
+    const auto t0 = std::chrono::steady_clock::now();
+    auto r = c.call(method, params);
+    if (!r.has_value() || !r->ok) return -1;
+    return static_cast<long>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count());
+  };
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  long status_ms = -1;
+  std::thread status([&] { status_ms = timed("status", "{}"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const long query_ms = timed("query", R"({"project":"idle"})");
+  status.join();
+  analyzer.join();
+
+  EXPECT_GE(status_ms, 0);
+  EXPECT_LT(status_ms, 500) << "status waited on the analysis";
+  EXPECT_GE(query_ms, 0);
+  EXPECT_LT(query_ms, 500) << "a query on an idle project waited on another's analysis";
+}
+
 TEST(Daemon, GracefulDrainRefusesNewWorkAndAnswersStatus) {
   RunningDaemon d(DaemonOptions{temp_socket("drain"), 2, 64, 1});
   ASSERT_TRUE(d.started);

@@ -82,9 +82,10 @@ TEST(AracCli, CompileErrorRendersDiagnosticsAndFails) {
   const fs::path dir = fs::temp_directory_path() / "arac_err_test";
   fs::create_directories(dir);
   std::ofstream(dir / "bad.f") << "subroutine s\n  do i = \nend\n";
-  const CliRun r = arac({(dir / "bad.f").string()});
+  const CliRun r = arac({"--export-dir", dir.string(), (dir / "bad.f").string()});
   EXPECT_EQ(r.rc, 1);
   EXPECT_NE(r.err.find("error"), std::string::npos);
+  EXPECT_TRUE(fs::exists(dir / "bad.failures.json")) << r.err;
   fs::remove_all(dir);
 }
 
@@ -129,11 +130,14 @@ TEST(AracCli, TraceAndStatsProduceValidTelemetryFiles) {
 }
 
 TEST(AracCli, TimeReportRendersPhaseTree) {
+  // Every local run is the batch engine, so the tree shows its phases: the
+  // batch, its unit phase with one span per unit, and the link.
   const CliRun r = arac({"--quiet", "--time-report", workload("fig10_matrix.c")});
   ASSERT_EQ(r.rc, 0) << r.err;
-  EXPECT_NE(r.out.find("Phase"), std::string::npos);
-  EXPECT_NE(r.out.find("compile"), std::string::npos);
-  EXPECT_NE(r.out.find("local-ARA"), std::string::npos);
+  for (const char* phase : {"Phase", "batch", "units", "fig10_matrix.c", "parse", "link",
+                            "link-propagate", "link-rows"}) {
+    EXPECT_NE(r.out.find(phase), std::string::npos) << phase << ":\n" << r.out;
+  }
 }
 
 TEST(AracCli, TelemetryFlagRestoresGlobalState) {
@@ -142,7 +146,8 @@ TEST(AracCli, TelemetryFlagRestoresGlobalState) {
   EXPECT_FALSE(obs::enabled());
 }
 
-/// Two tiny Fortran units, so the run-ledger flags exercise the batch path.
+/// Two tiny Fortran units, so the run-ledger flags and --dump-ir see more
+/// than one unit.
 fs::path write_ledger_units(const char* dirname) {
   const fs::path dir = fs::temp_directory_path() / dirname;
   fs::remove_all(dir);
@@ -203,29 +208,51 @@ TEST(AracCli, ExplicitEventsPathOverridesTheDerivedOne) {
 TEST(AracCli, ProfileWritesAFoldedFile) {
   const fs::path dir = write_ledger_units("arac_profile_test");
   const fs::path folded = dir / "p.folded";
-  const CliRun r = arac({"--quiet", "--profile", folded.string(), "--profile-interval-us",
-                         "50", workload("fig10_matrix.c")});
+  const CliRun r = arac({"--quiet", "--profile", folded.string(), workload("fig10_matrix.c")});
   ASSERT_EQ(r.rc, 0) << r.err;
   ASSERT_TRUE(fs::exists(folded));
-  // Samples are timing-dependent, so only the shape is asserted: every
-  // non-empty line is "stack count". (run_ledger_cli.cmake pins non-empty
-  // output on the 20-unit LU workload.)
-  std::istringstream in(slurp(folded));
+  // The weights are measured self times, so only the shape is asserted:
+  // every line is "stack weight", and the engine's unit phase is one of the
+  // paths. (test_profiler pins the rendering exactly.)
+  const std::string text = slurp(folded);
+  EXPECT_NE(text.find("\nbatch;units "), std::string::npos) << text;
+  std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
     const auto space = line.rfind(' ');
     ASSERT_NE(space, std::string::npos) << line;
+    ASSERT_LT(space + 1, line.size()) << line;
     for (const char c : line.substr(space + 1)) EXPECT_TRUE(c >= '0' && c <= '9') << line;
   }
   fs::remove_all(dir);
 }
 
-TEST(AracCli, BadProfileIntervalIsUsageError) {
-  const CliRun r = arac({"--profile-interval-us", "nope", workload("fig10_matrix.c")});
-  EXPECT_EQ(r.rc, 1);
-  const CliRun missing = arac({"--metrics-out"});
-  EXPECT_EQ(missing.rc, 1);
+TEST(AracCli, MissingFlagValueIsUsageError) {
+  EXPECT_EQ(arac({"--profile"}).rc, 1);
+  EXPECT_EQ(arac({"--metrics-out"}).rc, 1);
+}
+
+TEST(AracCli, DumpIrPrintsEveryUnitAtAnyJobCount) {
+  // Each unit's own WHIRL, from the engine's per-unit compile; the bytes do
+  // not depend on --jobs.
+  const fs::path dir = write_ledger_units("arac_dump_ir_test");
+  const std::vector<std::string> units = {(dir / "ua.f").string(), (dir / "ub.f").string()};
+  std::string first;
+  for (const char* jobs : {"1", "3"}) {
+    std::vector<std::string> args = {"--quiet", "--dump-ir", "--jobs", jobs};
+    args.insert(args.end(), units.begin(), units.end());
+    const CliRun r = arac(args);
+    ASSERT_EQ(r.rc, 0) << r.err;
+    EXPECT_TRUE(r.err.empty()) << r.err;
+    const std::size_t ua = r.out.find("=== ua (ua.f) ===");
+    const std::size_t ub = r.out.find("=== ub (ub.f) ===");
+    ASSERT_NE(ua, std::string::npos) << r.out;
+    ASSERT_NE(ub, std::string::npos) << r.out;
+    EXPECT_LT(ua, ub) << "units dump in input order";
+    if (first.empty()) first = r.out;
+    EXPECT_EQ(r.out, first) << "--jobs " << jobs;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(AracCli, NoIpaSkipsInterproceduralRows) {
@@ -281,7 +308,7 @@ constexpr const char* kMutualRecursion =
     "  call p(b, 100)\n"
     "end subroutine main\n";
 
-TEST(AracCli, NonConvergentRecursionIsWidenedInBothPipelines) {
+TEST(AracCli, NonConvergentRecursionIsWidenedWithAndWithoutJobs) {
   const fs::path dir = fs::temp_directory_path() / "ara_arac_recursion";
   struct Kernel {
     const char* source;
@@ -298,7 +325,7 @@ TEST(AracCli, NonConvergentRecursionIsWidenedInBothPipelines) {
     for (const std::vector<std::string>& mode :
          {std::vector<std::string>{}, std::vector<std::string>{"--jobs", "2"}}) {
       const std::string label =
-          std::string(kernel.cause) + (mode.empty() ? ", whole-program" : ", --jobs 2");
+          std::string(kernel.cause) + (mode.empty() ? ", no --jobs" : ", --jobs 2");
       std::vector<std::string> args = {"--quiet", "--export-dir", dir.string(), "--name", "rec"};
       args.insert(args.end(), mode.begin(), mode.end());
       args.push_back(src);

@@ -1,18 +1,16 @@
 # Whole-file goldens: every committed workload is analyzed by the shipped
-# arac in five pipeline modes, and each export must equal the committed
-# file byte for byte.
-#   mono   no --jobs: the whole-program pipeline (ipa::analyze)
-#   jobs1  --jobs 1: the batch engine (per-unit summaries + link_units)
+# arac in five modes, and each export must equal the committed file byte
+# for byte.
+#   plain  no --jobs: one worker
+#   jobs1  --jobs 1
 #   jobs4  --jobs 4
 #   cold   --jobs 4 --cache-dir on an empty cache
 #   warm   the same command again: every unit must replay from the cache
-# The .rgn/.dgn/.cfg files are identical in all modes. The provenance JSONL
-# differs by design between the two pipelines: the whole-program run adds
-# the loop_not_parallel verdicts, and batch records carry their unit index.
-# So <name>.mono.prov.jsonl pins the first mode and <name>.batch.prov.jsonl
-# the other four. caf_halo has no whole-program provenance golden: that run
-# exits 1, because lno's dependence walk, which produces the loop verdicts,
-# takes a coindexed load for an array reference ("bad StIdx").
+# Every mode runs the batch engine (per-unit summaries + link_units), so
+# the .rgn/.dgn/.cfg files and <name>.prov.jsonl are identical in all five.
+# The provenance export includes the loop_not_parallel verdicts, which arac
+# computes per unit whenever --provenance-out is given; they are never
+# cached, so the warm run recomputes them.
 #
 #   cmake -DARAC=... -DWORKLOADS=... -DGOLDEN=... -DOUT=... -P run_golden.cmake
 #
@@ -40,20 +38,13 @@ endfunction()
 
 foreach(name lu heat fig1_add fig10_matrix caf_halo)
   list(LENGTH SOURCES_${name} n_units)
-  foreach(mode mono jobs1 jobs4 cold warm)
+  foreach(mode plain jobs1 jobs4 cold warm)
     set(dir "${OUT}/${mode}/${name}")
-    set(args --name ${name} --export-dir "${dir}")
-    if(mode STREQUAL "mono")
-      set(prov_golden "${GOLDEN}/${name}.mono.prov.jsonl")
-    else()
-      set(prov_golden "${GOLDEN}/${name}.batch.prov.jsonl")
-    endif()
-    if(EXISTS "${prov_golden}")
-      list(APPEND args --provenance-out "${dir}/${name}.prov.jsonl")
-    endif()
+    set(args --name ${name} --export-dir "${dir}"
+             --provenance-out "${dir}/${name}.prov.jsonl")
     if(mode STREQUAL "jobs1")
       list(APPEND args --jobs 1)
-    elseif(NOT mode STREQUAL "mono")
+    elseif(NOT mode STREQUAL "plain")
       list(APPEND args --jobs 4)
     endif()
     if(mode STREQUAL "cold" OR mode STREQUAL "warm")
@@ -70,11 +61,8 @@ foreach(name lu heat fig1_add fig10_matrix caf_halo)
     if(mode STREQUAL "warm" AND NOT stdout MATCHES "cache: ${n_units} hits, 0 misses")
       message(SEND_ERROR "warm ${name} run did not replay every unit from the cache")
     endif()
-    foreach(ext rgn dgn cfg)
+    foreach(ext rgn dgn cfg prov.jsonl)
       expect_same("${dir}/${name}.${ext}" "${GOLDEN}/${name}.${ext}")
     endforeach()
-    if(EXISTS "${prov_golden}")
-      expect_same("${dir}/${name}.prov.jsonl" "${prov_golden}")
-    endif()
   endforeach()
 endforeach()

@@ -4,7 +4,7 @@
 #     p50/p90/p99 percentiles,
 #   - a merged .events.jsonl covering every unit's full 5-stage lifecycle
 #     (queued/started/cache_miss/summarized/linked), and
-#   - non-empty collapsed stacks from the sampling profiler;
+#   - a non-empty folded profile of the run's span paths;
 # and a second run must reproduce the event sequence byte-identically
 # modulo t_ns/lane (the measurements).
 #   cmake -DARAC=... -DWORKLOADS=... -DOUT=... -P run_ledger_cli.cmake
@@ -17,7 +17,7 @@ list(LENGTH LU_SOURCES N_UNITS)
 execute_process(
   COMMAND "${ARAC}" --quiet --name lu --jobs 4
           --metrics-out "${OUT}/m.json"
-          --profile "${OUT}/p.folded" --profile-interval-us 50
+          --profile "${OUT}/p.folded"
           --export-dir "${OUT}/export" ${LU_SOURCES}
   RESULT_VARIABLE RC
   ERROR_VARIABLE RUN_ERR)
@@ -85,14 +85,14 @@ foreach(unit RANGE ${LAST_UNIT})
   endforeach()
 endforeach()
 
-# --- profiler: non-empty collapsed stacks in folded format ----------------
+# --- profile: non-empty collapsed stacks in folded format -----------------
 if(NOT EXISTS "${OUT}/p.folded")
   message(FATAL_ERROR "--profile wrote nothing")
 endif()
 file(STRINGS "${OUT}/p.folded" FOLDED_LINES)
 list(LENGTH FOLDED_LINES N_STACKS)
 if(N_STACKS EQUAL 0)
-  message(FATAL_ERROR "p.folded is empty — the sampler took no stack samples")
+  message(FATAL_ERROR "p.folded is empty — the run recorded no spans")
 endif()
 foreach(line IN LISTS FOLDED_LINES)
   if(NOT line MATCHES "^[^ ]+ [0-9]+$")

@@ -1,124 +1,72 @@
-// The span-stack sampling profiler: the Timeline sampling primitive, the
-// ticker's folded-stack accumulation over real open spans, the collapsed
-// text rendering, and the idempotent-stop contract.
-#include "obs/profiler.hpp"
-
+// The folded span profile (`arac --profile`): obs::render_folded over
+// hand-built span forests. Each line is one span path with its self time in
+// whole microseconds, the grouping the time report uses, sorted bytewise.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <map>
-#include <sstream>
 #include <string>
-#include <thread>
+#include <vector>
 
+#include "obs/report.hpp"
 #include "obs/timeline.hpp"
 
 namespace ara::obs {
 namespace {
 
-class ProfilerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    set_enabled(true);
-    Timeline::instance().clear();
-  }
-  void TearDown() override {
-    set_enabled(false);
-    Timeline::instance().clear();
-  }
-};
-
-TEST_F(ProfilerTest, SampleStacksSeesOpenSpansRootToLeaf) {
-  EXPECT_TRUE(Timeline::instance().sample_stacks().empty());
-  ARA_SPAN("outer", "test");
-  {
-    ARA_SPAN("inner", "test");
-    const auto stacks = Timeline::instance().sample_stacks();
-    ASSERT_EQ(stacks.size(), 1u) << "only this thread has open spans";
-    ASSERT_EQ(stacks[0].frames.size(), 2u);
-    EXPECT_EQ(stacks[0].frames[0], "outer");
-    EXPECT_EQ(stacks[0].frames[1], "inner");
-  }
-  const auto stacks = Timeline::instance().sample_stacks();
-  ASSERT_EQ(stacks.size(), 1u);
-  ASSERT_EQ(stacks[0].frames.size(), 1u);
-  EXPECT_EQ(stacks[0].frames[0], "outer");
+/// A completed span of `dur_us` microseconds under event `parent` (-1 = root).
+SpanEvent span(std::string name, std::uint64_t dur_us, std::int32_t parent = -1) {
+  SpanEvent ev;
+  ev.name = std::move(name);
+  ev.dur_ns = dur_us * 1000;
+  ev.parent = parent;
+  return ev;
 }
 
-TEST_F(ProfilerTest, TickerAccumulatesCollapsedStacksFromLiveSpans) {
-  Profiler profiler(std::chrono::microseconds(50));
-  profiler.start();
-  {
-    ARA_SPAN("work", "test");
-    ARA_SPAN("leaf", "test");
-    // Hold the stack open long enough for several 50 us ticks.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  profiler.stop();
+TEST(FoldedProfile, EmptyTimelineRendersNothing) { EXPECT_EQ(render_folded({}), ""); }
 
-  EXPECT_GE(profiler.samples_taken(), 2u) << "immediate first sample + ticks";
-  const auto& folded = profiler.folded();
-  ASSERT_FALSE(folded.empty());
-  const auto it = folded.find("work;leaf");
-  ASSERT_NE(it, folded.end()) << "expected the work;leaf collapsed stack";
-  EXPECT_GE(it->second, 1u);
+TEST(FoldedProfile, WeightsAreSelfTimesInMicroseconds) {
+  // main (100 us) holds parse (30 us), which holds lex (10 us), and sema
+  // (45 us).
+  const std::vector<SpanEvent> events = {span("main", 100), span("parse", 30, 0),
+                                         span("lex", 10, 1), span("sema", 45, 0)};
+  EXPECT_EQ(render_folded(events),
+            "main 25\n"
+            "main;parse 20\n"
+            "main;parse;lex 10\n"
+            "main;sema 45\n");
 }
 
-TEST_F(ProfilerTest, StopIsIdempotentAndFinalSampleIsTaken) {
-  Profiler profiler(std::chrono::microseconds(250));
-  profiler.start();
-  ARA_SPAN("tail", "test");
-  profiler.stop();
-  const std::uint64_t after_first_stop = profiler.samples_taken();
-  EXPECT_GE(after_first_stop, 1u) << "stop() takes one final sample";
-  profiler.stop();
-  profiler.stop();
-  EXPECT_EQ(profiler.samples_taken(), after_first_stop);
-  // The final sample ran inside the open "tail" span.
-  EXPECT_NE(profiler.folded().find("tail"), profiler.folded().end());
+TEST(FoldedProfile, SameNamedSiblingsMergeIntoOnePath) {
+  // Two per-unit spans of the same name under one parent sum, as the time
+  // report's Count column does; their children merge the same way.
+  const std::vector<SpanEvent> events = {span("units", 50),        span("a.f", 20, 0),
+                                         span("parse", 5, 1),      span("a.f", 30, 0),
+                                         span("parse", 7, 3)};
+  EXPECT_EQ(render_folded(events),
+            "units 0\n"
+            "units;a.f 38\n"
+            "units;a.f;parse 12\n");
 }
 
-TEST_F(ProfilerTest, WriteFoldedIsSortedAndDeterministic) {
-  const std::map<std::string, std::uint64_t> folded = {
-      {"main;parse", 7}, {"main", 2}, {"main;sema;lower", 41}};
-  const std::string text = Profiler::write_folded(folded);
-  EXPECT_EQ(text,
-            "main 2\n"
-            "main;parse 7\n"
-            "main;sema;lower 41\n");
-  EXPECT_EQ(text, Profiler::write_folded(folded)) << "rendering must be deterministic";
-  EXPECT_TRUE(Profiler::write_folded({}).empty());
+TEST(FoldedProfile, PathsSortBytewiseAndRootsStaySeparate) {
+  // Worker spans are roots of their own lane; a root named like a child
+  // elsewhere is its own path.
+  const std::vector<SpanEvent> events = {span("z", 3), span("b", 2), span("a", 9, 1),
+                                         span("a", 4)};
+  EXPECT_EQ(render_folded(events),
+            "a 4\n"
+            "b 0\n"
+            "b;a 9\n"
+            "z 3\n");
 }
 
-TEST_F(ProfilerTest, EveryFoldedLineMatchesTheStackCountShape) {
-  Profiler profiler(std::chrono::microseconds(50));
-  profiler.start();
-  {
-    ARA_SPAN("alpha", "test");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  profiler.stop();
-  std::istringstream in(Profiler::write_folded(profiler.folded()));
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    EXPECT_GT(space, 0u) << line;
-    const std::string count = line.substr(space + 1);
-    ASSERT_FALSE(count.empty()) << line;
-    for (const char c : count) EXPECT_TRUE(c >= '0' && c <= '9') << line;
-  }
-}
-
-TEST_F(ProfilerTest, DestructorStopsARunningTicker) {
-  {
-    Profiler profiler(std::chrono::microseconds(50));
-    profiler.start();
-    ARA_SPAN("scoped", "test");
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    // ~Profiler must join the ticker without stop() being called.
-  }
-  SUCCEED();
+TEST(FoldedProfile, SubMicrosecondRemaindersTruncateAndNeverGoNegative) {
+  // A child reported longer than its parent (clock skew between reads) gives
+  // the parent a self time of 0, not a wrapped huge weight.
+  std::vector<SpanEvent> events = {span("outer", 5), span("inner", 6, 0)};
+  events[1].dur_ns += 999;
+  EXPECT_EQ(render_folded(events),
+            "outer 0\n"
+            "outer;inner 6\n");
 }
 
 }  // namespace

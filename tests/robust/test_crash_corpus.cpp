@@ -1,7 +1,8 @@
 // Crash-corpus replay (satellite of the robustness ISSUE): every file in
 // tests/crash_corpus/ goes through (a) the serve engine's error barrier via
 // difftest::survives_or_what — no exception may escape — and (b) the full
-// arac CLI — the exit code must obey the 0/1/2 contract, never a throw.
+// arac CLI, with the loop verdicts on — the exit code must obey the 0/1/2
+// contract, never a throw.
 // `arafuzz --crash-hunt --corpus tests/crash_corpus` grows the corpus; this
 // test makes each crasher a permanent regression check.
 #include <gtest/gtest.h>
@@ -59,24 +60,22 @@ TEST(CrashCorpus, EveryFileSurvivesTheUnitBarrier) {
 }
 
 TEST(CrashCorpus, EveryFileSurvivesTheAracCli) {
-  // Both pipelines, because they guard differently: the batch engine's
-  // per-unit barrier and the monolithic pipeline's top-level sink.
+  // One run per file: every local run is the batch engine, whose per-unit
+  // barrier guards the analysis; --explain adds the per-unit recompile for
+  // the loop verdicts, which runs outside that barrier. Failure reports go
+  // to a temp dir, not the working directory.
+  const fs::path dir = fs::temp_directory_path() / "ara_crash_corpus_cli";
+  fs::create_directories(dir);
   for (const fs::path& file : corpus_files()) {
-    for (const bool batch : {false, true}) {
-      std::vector<std::string> args = {"--quiet"};
-      if (batch) {
-        args.push_back("--jobs");
-        args.push_back("1");
-      }
-      args.push_back(file.string());
-      std::ostringstream out, err;
-      int rc = -1;
-      EXPECT_NO_THROW(rc = driver::run_arac(args, out, err))
-          << file.filename().string();
-      EXPECT_TRUE(rc == 0 || rc == 1 || rc == 2)
-          << file.filename().string() << " rc=" << rc << "\n" << err.str();
-    }
+    const std::vector<std::string> args = {"--quiet", "--explain", "--export-dir",
+                                           dir.string(), file.string()};
+    std::ostringstream out, err;
+    int rc = -1;
+    EXPECT_NO_THROW(rc = driver::run_arac(args, out, err)) << file.filename().string();
+    EXPECT_TRUE(rc == 0 || rc == 1 || rc == 2)
+        << file.filename().string() << " rc=" << rc << "\n" << err.str();
   }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 //   0  clean success
 //   1  total failure — usage errors, compile/link failures, resource
 //      limits, internal errors, a batch with no survivors
-//   2  partial success — a batch run dropped units but the survivors
-//      linked; <name>.failures.json names the casualties
-// One test per path, driven through driver::run_arac in-process.
+//   2  partial success — the run dropped units but the survivors linked;
+//      <name>.failures.json names the casualties
+// Every local run is the batch engine, so the contract holds with and
+// without --jobs. One test per path, driven through driver::run_arac
+// in-process.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -55,7 +57,7 @@ class ExitCodes : public ::testing::Test {
   std::ostringstream err_;
 };
 
-TEST_F(ExitCodes, CleanMonolithicRunExitsZero) {
+TEST_F(ExitCodes, CleanRunWithoutJobsExitsZero) {
   const fs::path src = write("good.f", kGoodUnit);
   EXPECT_EQ(run({"--quiet", src.string()}), 0) << err_.str();
 }
@@ -72,9 +74,26 @@ TEST_F(ExitCodes, UsageErrorExitsOne) {
   EXPECT_EQ(run({"--max-depth", "-3", "x.f"}), 1);
 }
 
-TEST_F(ExitCodes, MonolithicCompileErrorExitsOne) {
+TEST_F(ExitCodes, CompileErrorWithoutJobsExitsOne) {
+  // The only unit fails, so nothing survives: exit 1, with the failure
+  // report, as under --jobs.
   const fs::path src = write("bad.f", "subroutine oops(\n");
-  EXPECT_EQ(run({"--quiet", src.string()}), 1);
+  EXPECT_EQ(run({"--quiet", "--export-dir", (dir_ / "out").string(), src.string()}), 1);
+  EXPECT_TRUE(fs::exists(dir_ / "out" / "bad.failures.json")) << err_.str();
+}
+
+TEST_F(ExitCodes, PartialRunWithoutJobsExitsTwo) {
+  // One bad file of two: the survivor is linked and exported, exit 2. (The
+  // whole-program pipeline that ran without --jobs used to exit 1 here.)
+  const fs::path good = write("good.f", kGoodUnit);
+  const fs::path bad = write("bad.f", "subroutine oops(\n");
+  const fs::path exp = dir_ / "out";
+  EXPECT_EQ(run({"--quiet", "--export-dir", exp.string(), good.string(), bad.string()}), 2)
+      << err_.str();
+  EXPECT_NE(err_.str().find("arac: unit 'bad.f' failed (compile)"), std::string::npos)
+      << err_.str();
+  EXPECT_TRUE(fs::exists(exp / "good.failures.json")) << err_.str();
+  EXPECT_TRUE(fs::exists(exp / "good.rgn"));
 }
 
 TEST_F(ExitCodes, BatchWithNoSurvivorsExitsOne) {

@@ -130,8 +130,9 @@ TEST(ResourceGuards, LimitsAreConfigurablePerBatch) {
   EXPECT_EQ(r.units[0].failure->kind, serve::FailureKind::Resource);
 }
 
-/// Plain (monolithic) arac on the same hostile inputs: exit 1 plus a
-/// resource-limit diagnostic on stderr — the single error sink at work.
+/// Plain arac (no --jobs) on the same hostile inputs: the engine demotes
+/// the only unit to a resource failure, so the run exits 1 with a per-unit
+/// `failed (resource)` line and NAME.failures.json.
 class PlainAracGuards : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -152,26 +153,36 @@ class PlainAracGuards : public ::testing::Test {
 TEST_F(PlainAracGuards, DeepNestingExitsOneWithResourceDiagnostic) {
   const fs::path src = write("deep.f", deep_paren_program(5000));
   std::ostringstream out, err;
-  const int rc = driver::run_arac({"--quiet", src.string()}, out, err);
+  const int rc = driver::run_arac({"--quiet", "--export-dir", dir_.string(), src.string()},
+                                  out, err);
   EXPECT_EQ(rc, 1);
-  EXPECT_NE(err.str().find("resource limit exceeded"), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find("arac: unit 'deep.f' failed (resource): "), std::string::npos)
+      << err.str();
+  EXPECT_TRUE(fs::exists(dir_ / "deep.failures.json")) << err.str();
 }
 
 TEST_F(PlainAracGuards, GiantLoopExitsOneWithResourceDiagnostic) {
   const fs::path src = write("trip.f", giant_loop_program());
   std::ostringstream out, err;
-  const int rc = driver::run_arac({"--quiet", src.string()}, out, err);
+  const int rc = driver::run_arac({"--quiet", "--export-dir", dir_.string(), src.string()},
+                                  out, err);
   EXPECT_EQ(rc, 1);
-  EXPECT_NE(err.str().find("resource limit exceeded"), std::string::npos) << err.str();
+  EXPECT_NE(err.str().find("arac: unit 'trip.f' failed (resource): "), std::string::npos)
+      << err.str();
+  EXPECT_TRUE(fs::exists(dir_ / "trip.failures.json")) << err.str();
 }
 
-TEST_F(PlainAracGuards, LimitFlagsReachTheMonolithicPipeline) {
+TEST_F(PlainAracGuards, LimitFlagsReachTheUnitsWithoutJobs) {
   const fs::path src = write("small.f", deep_paren_program(50));
   std::ostringstream out1, err1;
   EXPECT_EQ(driver::run_arac({"--quiet", src.string()}, out1, err1), 0) << err1.str();
   std::ostringstream out2, err2;
-  EXPECT_EQ(driver::run_arac({"--quiet", "--max-depth", "10", src.string()}, out2, err2), 1);
-  EXPECT_NE(err2.str().find("resource limit exceeded"), std::string::npos) << err2.str();
+  EXPECT_EQ(driver::run_arac({"--quiet", "--export-dir", dir_.string(), "--max-depth", "10",
+                              src.string()},
+                             out2, err2),
+            1);
+  EXPECT_NE(err2.str().find("arac: unit 'small.f' failed (resource): "), std::string::npos)
+      << err2.str();
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // .provenance.jsonl export (ara.prov.v1) must be byte-identical whatever
 // the worker count and whatever the cache state — cold, warm, or bypassed
 // — because records ride the v3 summary cache and the ledger merges them
-// in (unit, seq) order. Also covers the --explain surface on the fig10
-// workload (the ISSUE acceptance walkthrough).
+// in (unit, seq) order. The loop verdicts, which are computed per unit on
+// request and never cached, obey the same contract. Also covers the
+// --explain surface on the fig10 workload (the walkthrough in
+// docs/observability.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,6 +86,8 @@ TEST_F(ProvDeterminismTest, JobCountDoesNotChangeProvenanceBytes) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"schema\": \"ara.prov.v1\""), std::string::npos);
   EXPECT_NE(a.find("\"kind\": "), std::string::npos) << "LU must yield at least one cause";
+  EXPECT_NE(a.find("\"kind\": \"loop_not_parallel\""), std::string::npos)
+      << "--provenance-out computes the loop verdicts under --jobs too";
 }
 
 TEST_F(ProvDeterminismTest, WarmCacheReplaysProvenanceByteIdentically) {
@@ -110,15 +114,30 @@ TEST_F(ProvDeterminismTest, ExplainNamesACauseForEveryStayedSerialLoop) {
       << r.out;
 }
 
-TEST_F(ProvDeterminismTest, ServeRefusesLoopExplanationsButStillExplainsRegions) {
-  // The batch engine has no whole-program trees; --loops degrades with a
-  // note on stderr while the region causes still render.
+TEST_F(ProvDeterminismTest, LoopVerdictsUnderJobsListEveryStayedSerialLoop) {
+  // --jobs no longer refuses --loops: LU's 18 serial loops are listed, and
+  // the region causes still render after them.
   std::vector<std::string> args = {"--quiet", "--explain", "--loops", "--jobs", "2"};
   for (const std::string& src : lu_sources()) args.push_back(src);
   const CliRun r = arac(args);
   ASSERT_EQ(r.rc, 0) << r.err;
-  EXPECT_NE(r.err.find("--loops"), std::string::npos) << r.err;
+  EXPECT_TRUE(r.err.empty()) << r.err;
+  EXPECT_EQ(r.out.rfind("explain: 18 loop(s) stayed serial:\n", 0), 0u) << r.out;
   EXPECT_NE(r.out.find("precision-loss cause"), std::string::npos) << r.out;
+}
+
+TEST_F(ProvDeterminismTest, CoindexedAccessesGetLoopVerdicts) {
+  // A remote coarray access is a Coindex node over the Array; the verdict
+  // walk looks through it (it used to fail with "bad StIdx"). halo_step's
+  // time loop writes u twice over; gather_edges' loop is parallel.
+  const std::string caf = (fs::path(ARA_WORKLOADS_DIR) / "caf_halo.f").string();
+  const CliRun r = arac({"--quiet", "--explain", "--loops", caf});
+  ASSERT_EQ(r.rc, 0) << r.err;
+  EXPECT_EQ(r.out.rfind("explain: 1 loop(s) stayed serial:\n"
+                        "  caf_halo.f:19: in halo_step: 'u': loop not parallelizable",
+                        0),
+            0u)
+      << r.out;
 }
 
 }  // namespace

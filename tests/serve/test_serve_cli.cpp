@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "driver/cli.hpp"
+#include "driver/compiler.hpp"
 
 namespace ara::driver {
 namespace {
@@ -99,10 +100,16 @@ TEST_F(ServeCliTest, JobCountDoesNotChangeAnyOutputByte) {
 }
 
 TEST_F(ServeCliTest, BatchEngineMatchesMonolithicDriver) {
-  ASSERT_EQ(arac(export_run("mono", {})).rc, 0);
+  // The whole-program library path (driver::Compiler + ipa::analyze), which
+  // the fuzz oracle, Dragon and the tests run, built in-process; arac runs
+  // the batch engine. The analysis artifacts must agree.
+  Compiler cc;
+  for (const std::string& src : lu_sources()) ASSERT_TRUE(cc.add_file(src)) << src;
+  ASSERT_TRUE(cc.compile()) << cc.diagnostics().render();
+  std::string error;
+  ASSERT_TRUE(export_dragon_files(cc.program(), cc.analyze(), dir_ / "mono", "lu", &error))
+      << error;
   ASSERT_EQ(arac(export_run("serve", {"--jobs", "4"})).rc, 0);
-  // .stats.json intentionally differs (the two paths bump different
-  // counters); the analysis artifacts must not.
   for (const char* ext : {".rgn", ".dgn", ".cfg"}) {
     EXPECT_EQ(slurp(dir_ / "mono" / ("lu" + std::string(ext))),
               slurp(dir_ / "serve" / ("lu" + std::string(ext))))
@@ -151,7 +158,7 @@ TEST_F(ServeCliTest, InvalidJobsIsAUsageError) {
 TEST_F(ServeCliTest, CompileErrorInOneUnitFailsTheBatch) {
   const fs::path bad = dir_ / "bad.f";
   std::ofstream(bad) << "subroutine broken(\n";
-  const CliRun r = arac({"--quiet", "--jobs", "2", bad.string()});
+  const CliRun r = arac({"--quiet", "--jobs", "2", "--export-dir", dir_.string(), bad.string()});
   EXPECT_EQ(r.rc, 1);
   EXPECT_FALSE(r.err.empty());
 }
