@@ -511,8 +511,9 @@ std::string DaemonServer::handle_query(const json::Value& params) {
       text = rgn::render_table(snap->rows);
     } else {
       std::vector<rgn::RegionRow> rows;
-      for (const rgn::RegionRow& r : snap->rows) {
-        if (to_lower(r.array) == array) rows.push_back(r);
+      if (const auto it = snap->rows_by_array.find(array); it != snap->rows_by_array.end()) {
+        rows.reserve(it->second.size());
+        for (const std::uint32_t i : it->second) rows.push_back(snap->rows[i]);
       }
       text = rgn::render_table(rows);
     }

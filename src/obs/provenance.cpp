@@ -13,8 +13,8 @@
 namespace ara::obs {
 
 namespace detail {
-thread_local ProvSinkState t_prov_sink;
-thread_local const ProvCtx* t_prov_ctx = nullptr;
+constinit thread_local ProvSinkState t_prov_sink;
+constinit thread_local const ProvCtx* t_prov_ctx = nullptr;
 }  // namespace detail
 
 std::string_view to_string(CauseKind kind) {

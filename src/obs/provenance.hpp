@@ -88,8 +88,12 @@ struct ProvSinkState {
   std::uint32_t unit = 0;
   std::uint32_t seq = 0;
 };
-extern thread_local ProvSinkState t_prov_sink;
-extern thread_local const ProvCtx* t_prov_ctx;
+// constinit: both are constant-initialized, so other translation units read
+// the TLS slot directly instead of through GCC's TLS init wrapper; through
+// the wrapper, an ASan+UBSan build reported a null member access in
+// prov_capturing().
+extern constinit thread_local ProvSinkState t_prov_sink;
+extern constinit thread_local const ProvCtx* t_prov_ctx;
 }  // namespace detail
 
 /// True while a ProvSink is installed on this thread. Sites that build a

@@ -4,6 +4,7 @@
 
 #include "obs/provenance.hpp"
 #include "rgn/region_row.hpp"
+#include "support/string_utils.hpp"
 
 namespace ara::serve {
 
@@ -27,6 +28,15 @@ std::shared_ptr<const ProjectSnapshot> ProjectState::analyze(
     snap->dgn_text = rgn::write_dgn(result.link.project);
     snap->cfg_text = result.link.cfg_text;
     snap->rows = std::move(result.link.rows);
+    // Rows come grouped by array within a scope, so a name is lowered once
+    // per run of rows, not once per row.
+    std::vector<std::uint32_t>* run = nullptr;
+    for (std::uint32_t i = 0; i < snap->rows.size(); ++i) {
+      if (run == nullptr || snap->rows[i].array != snap->rows[i - 1].array) {
+        run = &snap->rows_by_array[to_lower(snap->rows[i].array)];
+      }
+      run->push_back(i);
+    }
     // Ledger merge order: (unit, seq); run_batch already emits it that way,
     // the sort pins the contract (see ProvenanceLedger::merged).
     std::stable_sort(result.provenance.begin(), result.provenance.end(),
@@ -42,6 +52,8 @@ std::shared_ptr<const ProjectSnapshot> ProjectState::analyze(
                          snap->dgn_text.size() + snap->cfg_text.size() +
                          snap->provenance_jsonl.size() +
                          snap->rows.size() * (sizeof(rgn::RegionRow) + 96) +
+                         snap->rows.size() * sizeof(std::uint32_t) +
+                         snap->rows_by_array.size() * (sizeof(std::string) + 64) +
                          snap->provenance.size() * (sizeof(obs::ProvRecord) + 48);
 
   {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/engine.hpp"
@@ -36,6 +37,9 @@ struct ProjectSnapshot {
   std::uint64_t failed_units = 0;
   /// Valid when ok or partial.
   std::vector<rgn::RegionRow> rows;
+  /// The indices into `rows` of each array's rows, in row order, keyed by
+  /// lowercase array name: what a `query` for one array reads.
+  std::unordered_map<std::string, std::vector<std::uint32_t>> rows_by_array;
   std::string rgn_text;
   std::string dgn_text;
   std::string cfg_text;
@@ -43,9 +47,9 @@ struct ProjectSnapshot {
   std::vector<obs::ProvRecord> provenance;  // (unit, seq) merged order
   std::string link_diagnostics;
   /// Rough resident footprint of the project when this snapshot was
-  /// published (incremental state + snapshot text), for the daemon's LRU
-  /// memory budget. Recorded at publication so reading it never waits on
-  /// a running analysis.
+  /// published (incremental state + snapshot text, rows and their index),
+  /// for the daemon's LRU memory budget. Recorded at publication so reading
+  /// it never waits on a running analysis.
   std::size_t resident_bytes = 0;
 };
 

@@ -10,10 +10,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,8 +24,10 @@
 
 #include "daemon/client.hpp"
 #include "daemon/rpc.hpp"
+#include "rgn/region_row.hpp"
 #include "support/faultinject.hpp"
 #include "support/json.hpp"
+#include "support/string_utils.hpp"
 
 namespace ara::daemon {
 namespace {
@@ -567,6 +572,125 @@ TEST(Daemon, ReclaimsAStaleSocketFile) {
 
   RunningDaemon fresh(DaemonOptions{path, 2, 64, 1});
   EXPECT_TRUE(fresh.started);
+}
+
+/// analyze params for the NAS-LU workload, plus `extra` as one more
+/// Fortran unit when it is not empty.
+std::string lu_params(const std::string& project, const std::string& extra = "") {
+  std::vector<fs::path> files;
+  for (const auto& e : fs::directory_iterator(fs::path(ARA_WORKLOADS_DIR) / "lu")) {
+    files.push_back(e.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::ostringstream os;
+  os << "{\"project\":\"" << project << "\",\"sources\":[";
+  auto add = [&, first = true](const std::string& name, const std::string& text) mutable {
+    os << (first ? "" : ",") << "{\"name\":\"" << name << "\",\"lang\":\"fortran\",\"text\":\""
+       << json::escape(text) << "\"}";
+    first = false;
+  };
+  for (const fs::path& f : files) {
+    std::ifstream in(f);
+    std::ostringstream text;
+    text << in.rdbuf();
+    add(f.filename().string(), text.str());
+  }
+  if (!extra.empty()) add("extra.f", extra);
+  os << "]}";
+  return os.str();
+}
+
+/// The result object of one request sent straight through the handler.
+json::Value call_direct(DaemonServer& server, const std::string& method,
+                        const std::string& params) {
+  const std::string reply =
+      server.handle_line("{\"id\":1,\"method\":\"" + method + "\",\"params\":" + params + "}");
+  const std::optional<json::Value> parsed = json::parse(reply);
+  const json::Value* ok = parsed ? parsed->find("ok") : nullptr;
+  EXPECT_TRUE(ok != nullptr && ok->boolean) << reply;
+  const json::Value* result = parsed ? parsed->find("result") : nullptr;
+  return result != nullptr ? *result : json::Value{};
+}
+
+/// The rows of the project's current snapshot, read back from its `.rgn`.
+std::vector<rgn::RegionRow> snapshot_rows(DaemonServer& server, const std::string& project) {
+  const json::Value rgn =
+      call_direct(server, "query", "{\"project\":\"" + project + "\",\"artifact\":\"rgn\"}");
+  const json::Value* text = rgn.find("text");
+  std::vector<rgn::RegionRow> rows;
+  std::string error;
+  EXPECT_TRUE(text != nullptr && rgn::parse_rgn(text->string, rows, &error)) << error;
+  return rows;
+}
+
+/// What `query` for one array must answer: the table of the rows whose
+/// lowercase name matches, in row order.
+std::string scanned_table(const std::vector<rgn::RegionRow>& rows, const std::string& array) {
+  std::vector<rgn::RegionRow> matching;
+  for (const rgn::RegionRow& r : rows) {
+    if (to_lower(r.array) == to_lower(array)) matching.push_back(r);
+  }
+  return rgn::render_table(matching);
+}
+
+std::string array_query(const std::string& project, const std::string& array) {
+  return "{\"project\":\"" + project + "\",\"array\":\"" + json::escape(array) + "\"}";
+}
+
+TEST(Daemon, QueryByArrayMatchesTheRowScan) {
+  RunningDaemon d(DaemonOptions{temp_socket("qarray"), 4, 512, 1});
+  ASSERT_TRUE(d.started);
+  ASSERT_EQ(num(call_direct(d.server, "analyze", lu_params("lu")), "generation"), 1u);
+  const std::vector<rgn::RegionRow> first = snapshot_rows(d.server, "lu");
+  ASSERT_FALSE(first.empty());
+
+  std::set<std::string> arrays;
+  for (const rgn::RegionRow& r : first) arrays.insert(to_lower(r.array));
+  for (const std::string& array : arrays) {
+    const json::Value reply = call_direct(d.server, "query", array_query("lu", to_upper(array)));
+    const json::Value* text = reply.find("text");
+    ASSERT_NE(text, nullptr);
+    EXPECT_EQ(text->string, scanned_table(first, array)) << array;
+  }
+  const json::Value none = call_direct(d.server, "query", array_query("lu", "no_such_array"));
+  ASSERT_NE(none.find("text"), nullptr);
+  EXPECT_EQ(none.find("text")->string, rgn::render_table({}));
+
+  // A second analyze adds a unit with a local `u` (LU's `u` is global) and
+  // a new array, and is slowed down; a query while it runs answers from
+  // the snapshot it holds, the first one.
+  const std::string extra =
+      "      subroutine zextra\n"
+      "      double precision u(4), zq(3)\n"
+      "      integer i\n"
+      "      do i = 1, 4\n"
+      "         u(i) = 0.0d0\n"
+      "      end do\n"
+      "      zq(1) = u(2)\n"
+      "      end\n";
+  struct Disarm {
+    ~Disarm() { fi::disarm(); }
+  } disarm;
+  ASSERT_TRUE(fi::configure("unit.analyze=delay:1000", nullptr));
+  std::thread analyzer([&] {
+    EXPECT_EQ(num(call_direct(d.server, "analyze", lu_params("lu", extra)), "generation"), 2u);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const json::Value held = call_direct(d.server, "query", array_query("lu", "U"));
+  analyzer.join();
+  fi::disarm();
+  EXPECT_EQ(num(held, "generation"), 1u);
+  ASSERT_NE(held.find("text"), nullptr);
+  EXPECT_EQ(held.find("text")->string, scanned_table(first, "u"));
+
+  const std::vector<rgn::RegionRow> second = snapshot_rows(d.server, "lu");
+  ASSERT_NE(scanned_table(second, "u"), scanned_table(first, "u"));
+  for (const std::string array : {"U", "zq", "frct"}) {
+    const json::Value reply = call_direct(d.server, "query", array_query("lu", array));
+    EXPECT_EQ(num(reply, "generation"), 2u);
+    ASSERT_NE(reply.find("text"), nullptr);
+    EXPECT_EQ(reply.find("text")->string, scanned_table(second, array)) << array;
+  }
 }
 
 }  // namespace
