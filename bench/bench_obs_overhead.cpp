@@ -1,14 +1,14 @@
 // Telemetry overhead on the end-to-end pipeline: the same NAS-LU
 // compile+analyze run with observability disabled (the shipping default, one
 // predicted branch per event) and enabled (counters + histograms + span
-// timeline + event log). Writes the unified BENCH_obs_overhead.json record
+// timeline). Writes the unified BENCH_obs_overhead.json record
 // (ara.bench.v1) so the perf trajectory of the obs subsystem stays
 // machine-readable across versions.
 //
 // The dormant-cost contract cannot be measured directly — there is no build
 // without the ledger compiled in — so the gate works from a projection:
 // microbench the disabled per-probe cost (one predicted branch each for a
-// counter bump, a histogram record, and an event-log record), multiply by
+// counter bump, a histogram record, and a provenance record), multiply by
 // the number of probes a real run fires, and compare against the disabled
 // run's wall time. `--gate PCT` exits 1 when that projection reaches PCT%
 // (the perf-smoke ctest entry uses 5).
@@ -20,7 +20,6 @@
 #include <cstring>
 
 #include "bench_common.hpp"
-#include "obs/eventlog.hpp"
 #include "obs/histogram.hpp"
 #include "obs/provenance.hpp"
 #include "obs/stats.hpp"
@@ -45,12 +44,11 @@ void reset_ledger() {
   ara::obs::StatsRegistry::instance().reset();
   ara::obs::HistogramRegistry::instance().reset();
   ara::obs::Timeline::instance().clear();
-  ara::obs::EventLog::instance().clear();
 }
 
 /// The disabled cost of one ledger probe, averaged over counter bumps,
-/// histogram records, event-log records, and provenance records (each is
-/// a load + predicted branch when dormant).
+/// histogram records and provenance records (each is a load + predicted
+/// branch when dormant).
 double disabled_probe_ns() {
   static ara::obs::Counter probe_counter{"bench.obs_probe", "dormant-cost probe"};
   ARA_HISTOGRAM(probe_hist, "bench.obs_probe_ns", "dormant-cost probe", "ns");
@@ -60,12 +58,11 @@ double disabled_probe_ns() {
   for (int i = 0; i < kIters; ++i) {
     probe_counter.bump();
     probe_hist.record(1);
-    ara::obs::EventLog::instance().record(0, "probe", ara::obs::UnitEvent::Queued);
     ara::obs::prov_record(ara::obs::CauseKind::NonAffineSubscript, {}, 0, {});
   }
   const auto t1 = std::chrono::steady_clock::now();
   const double total_ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-  return total_ns / (4.0 * kIters);
+  return total_ns / (3.0 * kIters);
 }
 
 /// Prints the overhead report, writes BENCH_obs_overhead.json, and returns
@@ -194,21 +191,6 @@ void BM_HistogramRecordEnabled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_HistogramRecordEnabled);
-
-void BM_EventLogRecordEnabled(benchmark::State& state) {
-  ara::obs::set_enabled(true);
-  ara::obs::EventLog::instance().clear();
-  for (auto _ : state) {
-    for (int i = 0; i < 256; ++i) {
-      ara::obs::EventLog::instance().record(static_cast<std::uint32_t>(i), "unit.f",
-                                            ara::obs::UnitEvent::Started);
-    }
-  }
-  ara::obs::set_enabled(false);
-  ara::obs::EventLog::instance().clear();
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_EventLogRecordEnabled);
 
 }  // namespace
 

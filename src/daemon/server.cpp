@@ -15,6 +15,7 @@
 #include "obs/histogram.hpp"
 #include "obs/provenance.hpp"
 #include "obs/stats.hpp"
+#include "obs/timeline.hpp"
 #include "rgn/region_row.hpp"
 #include "support/faultinject.hpp"
 #include "support/string_utils.hpp"
@@ -293,6 +294,11 @@ void DaemonServer::serve_connection(int fd) {
 }
 
 std::string DaemonServer::handle_line(const std::string& line) {
+  // The request's spans go to a timeline of its own, dropped with the
+  // reply: telemetry stays on for the daemon's whole life, so nothing
+  // per-request may outlive the request.
+  obs::Timeline timeline;
+  const obs::TimelineScope on_request_timeline(timeline);
   requests_.fetch_add(1);
   stat_requests.bump();
   const obs::ScopedLatency lat(hist_request);

@@ -13,7 +13,6 @@
 #include "driver/compiler.hpp"
 #include "ir/printer.hpp"
 #include "lno/dependence.hpp"
-#include "obs/eventlog.hpp"
 #include "obs/histogram.hpp"
 #include "obs/provenance.hpp"
 #include "obs/report.hpp"
@@ -69,16 +68,16 @@ struct CliOptions {
   std::string explain_target;      // "array" or "array@proc" filter ("" = all)
   bool explain_loops = false;      // --loops: explain serial loops instead
   std::string provenance_out;      // empty = no .provenance.jsonl export
+  /// Flags given that only an in-process run can honour (telemetry, IR and
+  /// loop verdicts, unit limits), with why; and flags that only mean
+  /// something with --daemon-connect. Either kind is refused in the other
+  /// mode instead of being silently dropped.
+  std::vector<std::pair<std::string, const char*>> local_only;
+  std::vector<std::string> client_only;
 
   [[nodiscard]] bool telemetry() const {
     return stats || time_report || !trace_file.empty() || !metrics_out.empty() ||
            !events_file.empty() || !profile_file.empty();
-  }
-  /// True when this run must capture provenance cause records: any renderer
-  /// of them is on (--explain, --provenance-out) or telemetry wants the
-  /// precision section's causes-by-kind aggregation.
-  [[nodiscard]] bool provenance() const {
-    return explain || explain_loops || !provenance_out.empty() || telemetry();
   }
   /// Loop verdicts are only computed when someone will read them; they run
   /// extra Fourier–Motzkin work the plain pipeline never did.
@@ -172,6 +171,17 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* cli, std::ostr
       }
       return &args[++i];
     };
+    if (a == "--trace" || a == "--metrics-out" || a == "--events" || a == "--profile" ||
+        a == "--stats" || a == "--time-report") {
+      cli->local_only.emplace_back(a, "the daemon records its telemetry in its own process");
+    } else if (a == "--dump-ir" || a == "--loops") {
+      cli->local_only.emplace_back(a, "the daemon keeps no IR and computes no loop verdicts");
+    } else if (a == "--max-depth" || a == "--max-ast-nodes" || a == "--max-loop-trip" ||
+               a == "--max-arrays" || a == "--unit-timeout-ms") {
+      cli->local_only.emplace_back(a, "the daemon applies its own unit limits");
+    } else if (a == "--retry" || a == "--deadline-ms") {
+      cli->client_only.push_back(a);
+    }
     if (a == "--help" || a == "-h") {
       usage(out);
       *help = true;
@@ -290,6 +300,18 @@ bool parse_args(const std::vector<std::string>& args, CliOptions* cli, std::ostr
     usage(err);
     return false;
   }
+  if (!cli->daemon_socket.empty() && !cli->local_only.empty()) {
+    for (const auto& [flag, why] : cli->local_only) {
+      err << "arac: " << flag << " is unavailable with --daemon-connect (" << why << ")\n";
+    }
+    return false;
+  }
+  if (cli->daemon_socket.empty() && !cli->client_only.empty()) {
+    for (const std::string& flag : cli->client_only) {
+      err << "arac: " << flag << " requires --daemon-connect\n";
+    }
+    return false;
+  }
   if (cli->name.empty()) cli->name = cli->sources.front().stem().string();
   return true;
 }
@@ -348,12 +370,17 @@ void recompile_units(const CliOptions& cli, const std::vector<serve::SourceBuffe
       result.provenance.push_back(std::move(rec));
     }
   }
+  // Each unit's verdicts were appended after every unit's records: put them
+  // in export order.
+  obs::sort_provenance(result.provenance);
 }
 
 /// Every in-process run: the batch engine's parallel per-unit analysis
 /// (one worker without --jobs), the summary cache when --cache-dir names
-/// one, and the serial link.
-int run_local(const CliOptions& cli, std::ostream& out, std::ostream& err) {
+/// one, and the serial link. `result` keeps the run's cause records and
+/// lifecycle events for the caller's renderers.
+int run_local(const CliOptions& cli, serve::BatchResult& result, std::ostream& out,
+              std::ostream& err) {
   std::vector<serve::SourceBuffer> sources;
   for (const fs::path& src : cli.sources) {
     std::string warning;
@@ -372,7 +399,7 @@ int run_local(const CliOptions& cli, std::ostream& out, std::ostream& err) {
   bopts.use_cache = !cli.no_cache;
   bopts.interprocedural = !cli.no_ipa;
   bopts.limits = cli.limits;
-  serve::BatchResult result = serve::run_batch(sources, bopts, cli.name);
+  result = serve::run_batch(sources, bopts, cli.name);
 
   // Unit diagnostics come back in input order regardless of which worker
   // produced them; link diagnostics (duplicate definitions, unresolved
@@ -404,7 +431,6 @@ int run_local(const CliOptions& cli, std::ostream& out, std::ostream& err) {
   if (rc == kFatal) return rc;
 
   if (cli.dump_ir || cli.want_loops()) recompile_units(cli, sources, result, out);
-  if (cli.provenance()) obs::ProvenanceLedger::instance().append(std::move(result.provenance));
 
   if (!cli.quiet) {
     out << cli.name << ": " << result.link.project.procedures.size() << " procedures, "
@@ -423,7 +449,7 @@ int run_local(const CliOptions& cli, std::ostream& out, std::ostream& err) {
   if (!cli.export_dir.empty()) {
     std::string error;
     if (!export_dragon_files(result.link.rows, result.link.project, result.link.cfg_text,
-                             cli.export_dir, cli.name, &error)) {
+                             result.provenance, cli.export_dir, cli.name, &error)) {
       err << "arac: " << error << "\n";
       return kFatal;
     }
@@ -562,10 +588,6 @@ int run_daemon_client(const CliOptions& cli, std::ostream& out, std::ostream& er
     const std::optional<std::string> text = fetch("provenance");
     if (!text.has_value() || !write_file(cli.provenance_out, *text, err)) final_rc = kFatal;
   }
-  if (cli.explain_loops) {
-    err << "arac: --loops is unavailable with --daemon-connect "
-           "(the daemon computes no loop verdicts)\n";
-  }
   if (cli.explain) {
     const std::optional<daemon::RpcReply> q = client.call_retry(
         "explain",
@@ -626,9 +648,7 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     obs::StatsRegistry::instance().reset();
     obs::HistogramRegistry::instance().reset();
     obs::Timeline::instance().clear();
-    obs::EventLog::instance().clear();
   }
-  if (cli.provenance()) obs::ProvenanceLedger::instance().clear();
 
   // The single error sink: every failure mode lands here and maps onto the
   // 0/1/2 contract. A unit's own failures never reach it (the engine demotes
@@ -636,8 +656,9 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
   // does. The catch-all exists so an internal bug exits 1 with a message
   // instead of an abort.
   int rc = kClean;
+  serve::BatchResult result;
   try {
-    rc = run_local(cli, out, err);
+    rc = run_local(cli, result, out, err);
   } catch (const support::ResourceLimitError& e) {
     err << "arac: resource limit exceeded: " << e.what() << "\n";
     rc = kFatal;
@@ -652,19 +673,14 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
 
   // Provenance rendering, from the engine's per-unit and link records plus
   // the loop verdicts.
-  if (cli.explain || cli.explain_loops) {
-    const std::vector<obs::ProvRecord> merged = obs::ProvenanceLedger::instance().merged();
-    if (cli.explain_loops) {
-      out << obs::render_explain(merged, cli.explain_target, /*loops_only=*/true);
-    }
-    if (cli.explain) {
-      out << obs::render_explain(merged, cli.explain_target, /*loops_only=*/false);
-    }
+  if (cli.explain_loops) {
+    out << obs::render_explain(result.provenance, cli.explain_target, /*loops_only=*/true);
+  }
+  if (cli.explain) {
+    out << obs::render_explain(result.provenance, cli.explain_target, /*loops_only=*/false);
   }
   if (!cli.provenance_out.empty() &&
-      !write_file(cli.provenance_out,
-                  obs::write_provenance_jsonl(obs::ProvenanceLedger::instance().merged(),
-                                              cli.name),
+      !write_file(cli.provenance_out, obs::write_provenance_jsonl(result.provenance, cli.name),
                   err)) {
     rc = 1;
   }
@@ -675,7 +691,8 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     out << obs::render_stats_table(/*nonzero_only=*/true);
     // Without an export dir the stats file lands next to the caller.
     if (cli.export_dir.empty() &&
-        !write_file(cli.name + ".stats.json", obs::write_stats_json(cli.name), err)) {
+        !write_file(cli.name + ".stats.json", obs::write_stats_json(cli.name, result.provenance),
+                    err)) {
       rc = 1;
     }
   }
@@ -688,7 +705,7 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     rc = 1;
   }
   if (!cli.metrics_out.empty() &&
-      !write_file(cli.metrics_out, obs::write_metrics_json(cli.name), err)) {
+      !write_file(cli.metrics_out, obs::write_metrics_json(cli.name, result.provenance), err)) {
     rc = 1;
   }
   // The lifecycle event log: an explicit --events path wins; otherwise a
@@ -701,8 +718,7 @@ int run_arac(const std::vector<std::string>& args, std::ostream& out, std::ostre
     events_path = p.string() + ".events.jsonl";
   }
   if (!events_path.empty() &&
-      !write_file(events_path,
-                  obs::write_events_jsonl(obs::EventLog::instance().merged(), cli.name), err)) {
+      !write_file(events_path, obs::write_events_jsonl(result.events, cli.name), err)) {
     rc = 1;
   }
   if (!cli.profile_file.empty() &&

@@ -68,12 +68,13 @@ bool export_dragon_files(const ir::Program& program, const ipa::AnalysisResult& 
                          const std::filesystem::path& dir, const std::string& name,
                          std::string* error) {
   return export_dragon_files(result.rows, ipa::dgn_project(program, result.callgraph, name),
-                             cfg::write_cfg(cfg::build_all(program)), dir, name, error);
+                             cfg::write_cfg(cfg::build_all(program)), {}, dir, name, error);
 }
 
 bool export_dragon_files(const std::vector<rgn::RegionRow>& rows, const rgn::DgnProject& project,
-                         const std::string& cfg_text, const std::filesystem::path& dir,
-                         const std::string& name, std::string* error) {
+                         const std::string& cfg_text, std::span<const obs::ProvRecord> causes,
+                         const std::filesystem::path& dir, const std::string& name,
+                         std::string* error) {
   ARA_SPAN("export", "driver");
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -104,7 +105,7 @@ bool export_dragon_files(const std::vector<rgn::RegionRow>& rows, const rgn::Dgn
   // Telemetry rides along with the Dragon files so the counters that
   // produced an export are inspectable next to it.
   if (obs::enabled() &&
-      !write(dir / (name + ".stats.json"), obs::write_stats_json(name))) {
+      !write(dir / (name + ".stats.json"), obs::write_stats_json(name, causes))) {
     return false;
   }
   stat_exports.bump();

@@ -12,12 +12,14 @@
 
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ipa/analyzer.hpp"
 #include "ir/layout.hpp"
 #include "ir/program.hpp"
+#include "obs/provenance.hpp"
 #include "rgn/dgn.hpp"
 #include "rgn/region_row.hpp"
 #include "support/diagnostics.hpp"
@@ -60,16 +62,19 @@ class Compiler {
 
 /// Writes <name>.rgn, <name>.dgn and <name>.cfg into `dir` (created if
 /// absent), as `-dragon` does — plus <name>.stats.json when telemetry is
-/// enabled (obs::set_enabled). Returns false (with `error` set) on I/O
+/// enabled (obs::set_enabled), whose precision `causes` stay empty: this
+/// path captures no cause records. Returns false (with `error` set) on I/O
 /// failure.
 bool export_dragon_files(const ir::Program& program, const ipa::AnalysisResult& result,
                          const std::filesystem::path& dir, const std::string& name,
                          std::string* error = nullptr);
 
 /// Artifact-level overload shared with the serve engine: writes pre-built
-/// rows, project and .cfg text without needing an ipa::AnalysisResult.
+/// rows, project and .cfg text without needing an ipa::AnalysisResult; the
+/// .stats.json counts the run's `causes` by kind.
 bool export_dragon_files(const std::vector<rgn::RegionRow>& rows, const rgn::DgnProject& project,
-                         const std::string& cfg_text, const std::filesystem::path& dir,
-                         const std::string& name, std::string* error = nullptr);
+                         const std::string& cfg_text, std::span<const obs::ProvRecord> causes,
+                         const std::filesystem::path& dir, const std::string& name,
+                         std::string* error = nullptr);
 
 }  // namespace ara::driver

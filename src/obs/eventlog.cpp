@@ -1,12 +1,7 @@
 #include "obs/eventlog.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <memory>
-#include <mutex>
 #include <sstream>
 
-#include "obs/timeline.hpp"
 #include "support/json.hpp"
 
 namespace ara::obs {
@@ -22,118 +17,6 @@ std::string_view to_string(UnitEvent e) {
     case UnitEvent::Linked: return "linked";
   }
   return "unknown";
-}
-
-std::uint32_t lifecycle_stage(UnitEvent e) {
-  switch (e) {
-    case UnitEvent::Queued: return 0;
-    case UnitEvent::Started: return 1;
-    case UnitEvent::CacheHit:
-    case UnitEvent::CacheMiss: return 2;
-    case UnitEvent::Summarized:
-    case UnitEvent::Failed: return 3;
-    case UnitEvent::Linked: return 4;
-  }
-  return 5;
-}
-
-namespace {
-
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
-
-/// One worker's buffer. Owned by the global state (buffers survive their
-/// thread), appended to only by the owning thread — hence no lock on the
-/// record path.
-struct Buffer {
-  std::vector<EventRecord> events;
-};
-
-struct GlobalState {
-  std::mutex mu;  // guards buffers/generation, NOT the per-buffer appends
-  std::vector<std::unique_ptr<Buffer>> buffers;
-  std::uint64_t generation = 1;
-  std::uint64_t epoch_ns = steady_ns();
-};
-
-GlobalState& state() {
-  static GlobalState s;
-  return s;
-}
-
-/// The calling thread's buffer for the current generation, registering a
-/// fresh one (the only locking record() can do, once per thread per run).
-Buffer& my_buffer() {
-  thread_local Buffer* t_buffer = nullptr;
-  thread_local std::uint64_t t_generation = 0;
-  GlobalState& s = state();
-  if (t_buffer == nullptr || t_generation != s.generation) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.buffers.push_back(std::make_unique<Buffer>());
-    t_buffer = s.buffers.back().get();
-    t_generation = s.generation;
-  }
-  return *t_buffer;
-}
-
-}  // namespace
-
-EventLog::EventLog() = default;
-
-EventLog& EventLog::instance() {
-  static EventLog log;
-  return log;
-}
-
-void EventLog::clear() {
-  GlobalState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.buffers.clear();
-  ++s.generation;  // live threads re-register on their next record()
-  s.epoch_ns = steady_ns();
-}
-
-void EventLog::record(std::uint32_t unit, std::string_view unit_name, UnitEvent event,
-                      std::string_view detail) {
-  if (!enabled()) return;
-  EventRecord rec;
-  rec.unit = unit;
-  rec.unit_name = std::string(unit_name);
-  rec.event = event;
-  rec.lane = lane();
-  rec.t_ns = steady_ns() - state().epoch_ns;
-  rec.detail = std::string(detail);
-  my_buffer().events.push_back(std::move(rec));
-}
-
-std::vector<EventRecord> EventLog::merged() const {
-  GlobalState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  std::vector<EventRecord> out;
-  for (const auto& buf : s.buffers) {
-    out.insert(out.end(), buf->events.begin(), buf->events.end());
-  }
-  // Deterministic merge order: by unit, then lifecycle stage. Within one
-  // unit the stages are totally ordered and mutually exclusive per stage,
-  // so the sequence is identical for any --jobs value; stable_sort keeps
-  // any (pathological) duplicates in buffer order.
-  std::stable_sort(out.begin(), out.end(), [](const EventRecord& a, const EventRecord& b) {
-    if (a.unit != b.unit) return a.unit < b.unit;
-    return lifecycle_stage(a.event) < lifecycle_stage(b.event);
-  });
-  return out;
-}
-
-bool EventLog::empty() const {
-  GlobalState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  for (const auto& buf : s.buffers) {
-    if (!buf->events.empty()) return false;
-  }
-  return true;
 }
 
 std::string write_events_jsonl(const std::vector<EventRecord>& events,

@@ -1,23 +1,18 @@
-// Structured per-unit lifecycle event log: a per-worker flight recorder for
-// the batch engine. Each translation unit emits a fixed lifecycle —
+// Per-unit lifecycle events of one batch run. Each translation unit goes
+// through a fixed lifecycle —
 //
 //   queued -> started -> cache_hit | cache_miss -> summarized | failed
 //          [-> linked]
 //
-// — recorded by whichever worker lane processes the unit. Recording is
-// lock-free on the hot path: every thread appends to its own buffer (a
-// mutex is taken only once per thread, to register the buffer), so workers
-// never contend. After the run, merged() interleaves all buffers into a
-// deterministic order — ascending (unit, lifecycle stage) — which is
-// byte-identical across --jobs values and repeated runs apart from the
-// t_ns timestamps and the lane a unit happened to land on.
+// — and, when telemetry is on, serve::run_batch returns the events in
+// BatchResult::events: ordered by unit, then by stage, so the sequence is
+// the same for every --jobs value and repeated run apart from the t_ns
+// timestamps and the lane a unit happened to land on.
 //
 // The JSONL rendering (one event per line, a schema header line first) is
 // the `.events.jsonl` artifact documented in docs/FORMATS.md; failed units
 // carry the FailureKind string in `detail`, cross-referencing the same
 // unit's entry in NAME.failures.json.
-//
-// Dormant unless obs::set_enabled(true), like counters and spans.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +20,10 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/stats.hpp"
-
 namespace ara::obs {
 
-/// Lifecycle stages, in canonical per-unit order. CacheHit/CacheMiss share
-/// a stage (mutually exclusive), as do Summarized/Failed.
+/// Lifecycle stages, in per-unit order. CacheHit/CacheMiss are mutually
+/// exclusive, as are Summarized/Failed.
 enum class UnitEvent : std::uint8_t {
   Queued = 0,
   Started,
@@ -43,46 +36,16 @@ enum class UnitEvent : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(UnitEvent e);
 
-/// The per-unit position of an event in the lifecycle (Queued=0, Started=1,
-/// CacheHit/CacheMiss=2, Summarized/Failed=3, Linked=4) — the merge key.
-[[nodiscard]] std::uint32_t lifecycle_stage(UnitEvent e);
-
 struct EventRecord {
   std::uint32_t unit = 0;  // unit index, input order
   std::string unit_name;
   UnitEvent event = UnitEvent::Queued;
   std::uint32_t lane = 0;   // worker lane that recorded it (obs::lane())
-  std::uint64_t t_ns = 0;   // relative to the event log epoch (clear())
+  std::uint64_t t_ns = 0;   // since the start of the batch
   std::string detail;       // e.g. the FailureKind string for Failed
 };
 
-/// Process-global flight recorder. record() appends to a thread-local
-/// buffer without locking; clear() and merged() must not race with
-/// recording (call them between runs, the Timeline::clear() contract).
-class EventLog {
- public:
-  static EventLog& instance();
-
-  /// Drops all events, re-bases the epoch at now, and invalidates every
-  /// thread's cached buffer.
-  void clear();
-
-  /// Records one lifecycle event on the calling thread's buffer. No-op
-  /// when telemetry is disabled.
-  void record(std::uint32_t unit, std::string_view unit_name, UnitEvent event,
-              std::string_view detail = {});
-
-  /// All recorded events, merged across worker buffers into the
-  /// deterministic order: ascending (unit, lifecycle stage).
-  [[nodiscard]] std::vector<EventRecord> merged() const;
-
-  [[nodiscard]] bool empty() const;
-
- private:
-  EventLog();
-};
-
-/// Renders merged events as JSONL: a header line
+/// Renders events as JSONL: a header line
 /// `{"schema": "ara.events.v1", "run": ..., "events": N}` then one compact
 /// JSON object per event (docs/FORMATS.md).
 [[nodiscard]] std::string write_events_jsonl(const std::vector<EventRecord>& events,

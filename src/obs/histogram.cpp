@@ -188,13 +188,13 @@ std::string render_histograms_json(int indent) {
   return os.str();
 }
 
-std::string write_metrics_json(std::string_view workload) {
+std::string write_metrics_json(std::string_view workload, std::span<const ProvRecord> causes) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"ara.metrics.v1\",\n";
   os << "  \"workload\": \"" << json::escape(workload) << "\",\n";
   os << render_counters_json(2) << ",\n";
-  os << render_precision_json(2) << ",\n";
+  os << render_precision_json(2, causes) << ",\n";
   os << render_histograms_json(2) << "\n";
   os << "}\n";
   return os.str();

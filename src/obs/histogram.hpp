@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -154,9 +155,11 @@ class ScopedLatency {
 };
 
 /// The `--metrics-out` payload (`ara.metrics.v1`, docs/FORMATS.md): the
-/// counter map plus every non-empty histogram with count/sum/min/max/mean
-/// and p50/p90/p99.
-[[nodiscard]] std::string write_metrics_json(std::string_view workload);
+/// counter map, the precision section (`causes` as in write_stats_json)
+/// and every non-empty histogram with count/sum/min/max/mean and
+/// p50/p90/p99.
+[[nodiscard]] std::string write_metrics_json(std::string_view workload,
+                                             std::span<const ProvRecord> causes = {});
 
 /// The histogram section shared by write_metrics_json and the v2
 /// .stats.json writer: `"histograms": { ... }` without outer braces, each

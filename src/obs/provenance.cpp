@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <sstream>
 
 #include "obs/stats.hpp"
@@ -112,55 +111,13 @@ ProvScope::ProvScope(ProvCtx ctx) : ctx_(ctx), saved_(detail::t_prov_ctx) {
 
 ProvScope::~ProvScope() { detail::t_prov_ctx = saved_; }
 
-struct ProvenanceLedger::State {
-  mutable std::mutex mu;
-  std::vector<ProvRecord> records;
-};
-
-ProvenanceLedger::State& ProvenanceLedger::state() const {
-  static State s;
-  return s;
-}
-
-ProvenanceLedger& ProvenanceLedger::instance() {
-  static ProvenanceLedger ledger;
-  return ledger;
-}
-
-void ProvenanceLedger::clear() {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.records.clear();
-}
-
-void ProvenanceLedger::append(std::vector<ProvRecord> records) {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.records.insert(s.records.end(), std::make_move_iterator(records.begin()),
-                   std::make_move_iterator(records.end()));
-}
-
-std::vector<ProvRecord> ProvenanceLedger::merged() const {
-  State& s = state();
-  std::vector<ProvRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    out = s.records;
-  }
-  // The event-log contract: deterministic (unit, site) order regardless of
-  // append order, worker count or cache state. `seq` is capture order
-  // within the unit, so (unit, seq) is already a total order per unit.
-  std::stable_sort(out.begin(), out.end(), [](const ProvRecord& a, const ProvRecord& b) {
+void sort_provenance(std::vector<ProvRecord>& records) {
+  // `seq` is capture order within the unit, so (unit, seq) is a total order
+  // per unit; the sort is stable for records appended twice.
+  std::stable_sort(records.begin(), records.end(), [](const ProvRecord& a, const ProvRecord& b) {
     if (a.unit != b.unit) return a.unit < b.unit;
     return a.seq < b.seq;
   });
-  return out;
-}
-
-std::size_t ProvenanceLedger::size() const {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.records.size();
 }
 
 std::string render_explain(const std::vector<ProvRecord>& records, const std::string& target,
@@ -231,7 +188,7 @@ std::string write_provenance_jsonl(const std::vector<ProvRecord>& records,
   return os.str();
 }
 
-std::string render_precision_json(int indent) {
+std::string render_precision_json(int indent, std::span<const ProvRecord> causes) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   std::uint64_t projected = 0, messy = 0, unprojected = 0;
   for (const StatEntry& e : StatsRegistry::instance().snapshot(false)) {
@@ -243,8 +200,8 @@ std::string render_precision_json(int indent) {
   const auto rate = [&](std::uint64_t n) {
     return total == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(total);
   };
-  std::map<std::string_view, std::uint64_t> causes;
-  for (const ProvRecord& r : ProvenanceLedger::instance().merged()) ++causes[to_string(r.kind)];
+  std::map<std::string_view, std::uint64_t> by_kind;
+  for (const ProvRecord& r : causes) ++by_kind[to_string(r.kind)];
 
   std::ostringstream os;
   os << pad << "\"precision\": {\n";
@@ -258,7 +215,7 @@ std::string render_precision_json(int indent) {
   os << pad << "  \"unprojected_rate\": " << buf << ",\n";
   os << pad << "  \"causes\": {";
   bool first = true;
-  for (const auto& [tag, count] : causes) {
+  for (const auto& [tag, count] : by_kind) {
     if (!first) os << ", ";
     first = false;
     os << "\"" << tag << "\": " << count;

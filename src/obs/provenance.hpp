@@ -10,15 +10,18 @@
 // Capture model. Recording goes through a thread-local *sink* installed
 // with an RAII ProvSink: no sink, no work — the dormant cost is one
 // thread-local load and a predicted branch (the same contract the stats
-// counters and the event log honor, gated by bench_obs_overhead). Serve
+// counters honor, gated by bench_obs_overhead). Serve
 // workers install a sink per unit so records land in the UnitSummary and
 // ride the v3 summary cache; warm-cache runs replay them byte-identically.
-// The merged order is (unit, seq) — input order, then capture order within
+// The export order is (unit, seq) — input order, then capture order within
 // the unit — so the export never depends on the worker count, the lane, or
-// the cache state.
+// the cache state. The records belong to the run that captured them
+// (serve::BatchResult::provenance, a daemon snapshot); nothing keeps them
+// past it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -139,25 +142,11 @@ class ProvScope {
   const ProvCtx* saved_;
 };
 
-/// Process-global store the driver renders from. Captured vectors are
-/// appended from single-threaded points (the arac driver after the batch
-/// and its loop verdicts); merged() re-sorts by (unit, seq)
-/// so the export order matches the event-log contract regardless of append
-/// order.
-class ProvenanceLedger {
- public:
-  static ProvenanceLedger& instance();
-
-  void clear();
-  void append(std::vector<ProvRecord> records);
-  [[nodiscard]] std::vector<ProvRecord> merged() const;
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  ProvenanceLedger() = default;
-  struct State;
-  State& state() const;
-};
+/// Puts records in the export order, (unit, seq), by one stable sort: the
+/// order of every renderer below, whatever order the records were captured
+/// or appended in (worker count, cache state, loop verdicts added after the
+/// batch).
+void sort_provenance(std::vector<ProvRecord>& records);
 
 /// `--explain` console rendering: cause records, one line each with their
 /// source position. `target` filters by "array" or "array@proc"
@@ -175,8 +164,8 @@ class ProvenanceLedger {
 
 /// The "precision" JSON section shared by .stats.json (ara.stats.v2) and
 /// --metrics-out (ara.metrics.v1): dimension counters from the stats
-/// registry plus causes-by-kind counts from the ledger. `indent` is the
-/// number of leading spaces on each emitted line.
-[[nodiscard]] std::string render_precision_json(int indent);
+/// registry plus causes-by-kind counts of the run's `causes`. `indent` is
+/// the number of leading spaces on each emitted line.
+[[nodiscard]] std::string render_precision_json(int indent, std::span<const ProvRecord> causes);
 
 }  // namespace ara::obs

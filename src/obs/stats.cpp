@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/histogram.hpp"
-#include "obs/provenance.hpp"
 #include "support/json.hpp"
 
 namespace ara::obs {
@@ -66,7 +65,7 @@ std::string render_counters_json(int indent) {
   return os.str();
 }
 
-std::string write_stats_json(std::string_view workload) {
+std::string write_stats_json(std::string_view workload, std::span<const ProvRecord> causes) {
   // v2 added the histogram section (obs/histogram.hpp). Counter values stay
   // deterministic across runs; histogram timing fields, like span
   // durations, are measurements and are not.
@@ -75,7 +74,7 @@ std::string write_stats_json(std::string_view workload) {
   os << "  \"schema\": \"ara.stats.v2\",\n";
   os << "  \"workload\": \"" << json::escape(workload) << "\",\n";
   os << render_counters_json(2) << ",\n";
-  os << render_precision_json(2) << ",\n";
+  os << render_precision_json(2, causes) << ",\n";
   os << render_histograms_json(2) << "\n";
   os << "}\n";
   return os.str();

@@ -15,9 +15,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/provenance.hpp"
 
 namespace ara::obs {
 
@@ -80,8 +83,11 @@ class StatsRegistry {
 };
 
 /// The `.stats.json` payload: schema marker, workload name, the name-sorted
-/// counter map, and the non-empty histogram section (see docs/FORMATS.md).
-[[nodiscard]] std::string write_stats_json(std::string_view workload);
+/// counter map, the precision section (its `causes` counted from the run's
+/// own cause records, empty for a caller that has none) and the non-empty
+/// histogram section (see docs/FORMATS.md).
+[[nodiscard]] std::string write_stats_json(std::string_view workload,
+                                           std::span<const ProvRecord> causes = {});
 
 /// The `"counters": { ... }` JSON fragment shared by the .stats.json and
 /// --metrics-out writers, indented by `indent` spaces.

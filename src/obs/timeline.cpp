@@ -16,6 +16,11 @@ std::uint64_t steady_ns() {
 // read on every begin().
 thread_local std::uint32_t t_lane = 0;
 
+// The timeline installed by TimelineScope (null: the process timeline) and
+// the innermost open span, on this thread.
+constinit thread_local Timeline* t_timeline = nullptr;
+constinit thread_local const Span* t_innermost = nullptr;
+
 }  // namespace
 
 void set_lane(std::uint32_t lane) { t_lane = lane; }
@@ -28,50 +33,35 @@ Timeline& Timeline::instance() {
   return timeline;
 }
 
-std::uint64_t Timeline::now_ns() const { return steady_ns() - epoch_ns_; }
+Timeline& Timeline::current() { return t_timeline != nullptr ? *t_timeline : instance(); }
 
 void Timeline::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
-  threads_.clear();
   epoch_ns_ = steady_ns();
 }
 
-std::uint32_t Timeline::begin(std::string name, std::string cat) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::uint32_t>& stack = threads_[std::this_thread::get_id()];
+std::uint32_t Timeline::begin(std::string name, std::string cat, std::int32_t parent,
+                              std::uint32_t depth) {
   Rec rec;
   rec.ev.name = std::move(name);
   rec.ev.cat = std::move(cat);
-  rec.ev.start_ns = now_ns();
-  rec.ev.parent = stack.empty() ? -1 : static_cast<std::int32_t>(stack.back());
-  rec.ev.depth = static_cast<std::uint32_t>(stack.size());
+  rec.ev.parent = parent;
+  rec.ev.depth = depth;
   rec.ev.lane = t_lane;
+  std::lock_guard<std::mutex> lock(mu_);
+  rec.ev.start_ns = steady_ns() - epoch_ns_;
   const auto id = static_cast<std::uint32_t>(events_.size());
   events_.push_back(std::move(rec));
-  stack.push_back(id);
   return id;
 }
 
 void Timeline::end(std::uint32_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   if (id >= events_.size() || !events_[id].open) return;
-  const std::uint64_t t = now_ns();
-  // Close any inner spans leaked past their opener (shouldn't happen with
-  // RAII, but keeps the hierarchy consistent if it does). Only this
-  // thread's stack is touched; other lanes' open spans are unaffected.
-  auto it = threads_.find(std::this_thread::get_id());
-  if (it == threads_.end()) return;
-  std::vector<std::uint32_t>& stack = it->second;
-  while (!stack.empty()) {
-    const std::uint32_t top = stack.back();
-    stack.pop_back();
-    Rec& rec = events_[top];
-    rec.open = false;
-    rec.ev.dur_ns = t - rec.ev.start_ns;
-    if (top == id) break;
-  }
-  if (stack.empty()) threads_.erase(it);
+  Rec& rec = events_[id];
+  rec.open = false;
+  rec.ev.dur_ns = steady_ns() - epoch_ns_ - rec.ev.start_ns;
 }
 
 std::vector<SpanEvent> Timeline::completed() const {
@@ -94,6 +84,31 @@ std::vector<SpanEvent> Timeline::completed() const {
     out.push_back(std::move(ev));
   }
   return out;
+}
+
+TimelineScope::TimelineScope(Timeline& timeline) : saved_(t_timeline) {
+  t_timeline = &timeline;
+}
+
+TimelineScope::~TimelineScope() { t_timeline = saved_; }
+
+void Span::open(std::string_view name, std::string_view cat) {
+  timeline_ = &Timeline::current();
+  outer_ = t_innermost;
+  // The parent is the innermost open span of this thread in the same
+  // timeline: a span opened under a newly installed timeline is a root.
+  const Span* parent = outer_;
+  while (parent != nullptr && parent->timeline_ != timeline_) parent = parent->outer_;
+  depth_ = parent != nullptr ? parent->depth_ + 1 : 0;
+  id_ = timeline_->begin(std::string(name), std::string(cat),
+                         parent != nullptr ? static_cast<std::int32_t>(parent->id_) : -1,
+                         depth_);
+  t_innermost = this;
+}
+
+void Span::close() {
+  timeline_->end(id_);
+  t_innermost = outer_;
 }
 
 }  // namespace ara::obs

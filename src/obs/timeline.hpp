@@ -1,21 +1,24 @@
 // Hierarchical phase/span timers. An ARA_SPAN at the top of a phase opens
-// an interval on the global Timeline; nesting follows scope nesting via an
-// explicit open-span stack, so the completed events form a forest
-// (lex → parse → sema → lower → local-ARA → IPA-propagate → export, with
-// per-procedure children inside the analysis phases). Completed events feed
-// the Chrome trace writer (obs/trace.hpp) and the text time report
-// (obs/report.hpp).
+// an interval on the calling thread's timeline; nesting follows scope
+// nesting through the thread's stack of open spans, so the completed events
+// form a forest (lex → parse → sema → lower → local-ARA → IPA-propagate →
+// export, with per-procedure children inside the analysis phases).
+// Completed events feed the Chrome trace writer (obs/trace.hpp) and the
+// text time report (obs/report.hpp).
+//
+// A span records into the timeline installed on its thread (TimelineScope),
+// or into the process timeline, Timeline::instance(), when none is: `arac`
+// and library callers use the process timeline, and `arad` installs a
+// timeline of its own for each request and drops it after the reply.
 //
 // Like counters, spans are dormant unless obs::set_enabled(true): a
 // disabled Span constructor is a single branch and records nothing.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/stats.hpp"
@@ -38,25 +41,25 @@ struct SpanEvent {
 void set_lane(std::uint32_t lane);
 [[nodiscard]] std::uint32_t lane();
 
-/// Process-global span recorder. Thread-safe: the event vector and every
-/// thread's open-span stack live behind one mutex (begin/end take it
-/// anyway), so spans nest within their own lane (worker) while many lanes
-/// record concurrently.
+/// A span recorder. Thread-safe: its mutex guards only the event vector;
+/// each thread keeps its own open spans (see Span), so spans nest within
+/// their own lane while many lanes record into one timeline concurrently.
 class Timeline {
  public:
+  /// An empty timeline whose epoch is now, for one request or run.
+  Timeline();
+  Timeline(const Timeline&) = delete;
+  Timeline& operator=(const Timeline&) = delete;
+
+  /// The process timeline: where spans go on a thread with none installed.
   static Timeline& instance();
+
+  /// The timeline installed on the calling thread, else instance().
+  static Timeline& current();
 
   /// Drops all events and re-bases the epoch at now. Call only when no
   /// spans are open (between pipeline runs).
   void clear();
-
-  /// Opens a span: records the start time, links it under the innermost
-  /// open span of this thread, and returns its event index.
-  std::uint32_t begin(std::string name, std::string cat);
-
-  /// Closes the span `id` (and, defensively, anything opened after it on
-  /// the same thread that was left open).
-  void end(std::uint32_t id);
 
   /// Completed events in begin order (start_ns non-decreasing). Spans still
   /// open are excluded.
@@ -68,8 +71,11 @@ class Timeline {
   }
 
  private:
-  Timeline();
-  [[nodiscard]] std::uint64_t now_ns() const;
+  friend class Span;
+  /// Records an open span under `parent` (-1 = root); returns its index.
+  std::uint32_t begin(std::string name, std::string cat, std::int32_t parent,
+                      std::uint32_t depth);
+  void end(std::uint32_t id);
 
   struct Rec {
     SpanEvent ev;
@@ -77,30 +83,47 @@ class Timeline {
   };
   mutable std::mutex mu_;
   std::vector<Rec> events_;
-  /// Each thread's open spans, innermost last (indices into events_).
-  std::map<std::thread::id, std::vector<std::uint32_t>> threads_;
   std::uint64_t epoch_ns_ = 0;  // steady-clock origin for start_ns
+};
+
+/// RAII: installs `timeline` on the calling thread, so spans opened here go
+/// to it; the previous one is restored on destruction. Costs two
+/// thread-local stores.
+class TimelineScope {
+ public:
+  explicit TimelineScope(Timeline& timeline);
+  ~TimelineScope();
+  TimelineScope(const TimelineScope&) = delete;
+  TimelineScope& operator=(const TimelineScope&) = delete;
+
+ private:
+  Timeline* saved_;
 };
 
 /// RAII span: opens on construction when telemetry is enabled, closes on
 /// scope exit. Inactive (and free apart from one branch) when disabled.
+/// Open spans form the thread's stack (innermost in thread-local storage,
+/// each linking to the one it opened inside), which is how a span finds its
+/// parent without a lock.
 class Span {
  public:
   explicit Span(std::string_view name, std::string_view cat = "") {
-    if (enabled()) {
-      id_ = Timeline::instance().begin(std::string(name), std::string(cat));
-      active_ = true;
-    }
+    if (enabled()) open(name, cat);
   }
   ~Span() {
-    if (active_) Timeline::instance().end(id_);
+    if (timeline_ != nullptr) close();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
+  void open(std::string_view name, std::string_view cat);
+  void close();
+
+  Timeline* timeline_ = nullptr;  // set while open
+  const Span* outer_ = nullptr;   // the thread's innermost open span before this one
   std::uint32_t id_ = 0;
-  bool active_ = false;
+  std::uint32_t depth_ = 0;
 };
 
 }  // namespace ara::obs

@@ -9,7 +9,6 @@
 #include <set>
 
 #include "frontend/compile.hpp"
-#include "obs/eventlog.hpp"
 #include "obs/provenance.hpp"
 #include "obs/histogram.hpp"
 #include "obs/stats.hpp"
@@ -64,15 +63,50 @@ std::string flags_string(const BatchOptions& opts) {
   return flags;
 }
 
+/// One batch's lifecycle events, recorded only when telemetry is on. Each
+/// unit has its own slot, written only by whoever owns the unit at that
+/// stage (the caller before and after the pool, the unit's task in
+/// between), so recording takes no lock and the slots need no sort.
+class UnitEvents {
+ public:
+  explicit UnitEvents(const std::vector<SourceBuffer>& sources)
+      : sources_(sources), slots_(obs::enabled() ? sources.size() : 0) {}
+
+  void record(std::size_t unit, obs::UnitEvent event, std::string_view detail = {}) {
+    if (slots_.empty()) return;
+    const auto t = std::chrono::steady_clock::now() - start_;
+    slots_[unit].push_back(
+        {static_cast<std::uint32_t>(unit), sources_[unit].name, event, obs::lane(),
+         static_cast<std::uint64_t>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(t).count()),
+         std::string(detail)});
+  }
+
+  /// Every unit's events, in unit order.
+  [[nodiscard]] std::vector<obs::EventRecord> take() {
+    std::vector<obs::EventRecord> out;
+    for (std::vector<obs::EventRecord>& slot : slots_) {
+      out.insert(out.end(), std::make_move_iterator(slot.begin()),
+                 std::make_move_iterator(slot.end()));
+    }
+    return out;
+  }
+
+ private:
+  const std::vector<SourceBuffer>& sources_;
+  const std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
+  std::vector<std::vector<obs::EventRecord>> slots_;
+};
+
 /// Demotes a unit to Failed with a structured reason, and drops a
 /// zero-length "fail:<unit>" span into the trace so degraded runs are
 /// visible on the timeline.
-void fail_unit(UnitReport& report, std::size_t unit, FailureKind kind, std::string reason) {
+void fail_unit(UnitReport& report, std::size_t unit, FailureKind kind, std::string reason,
+               UnitEvents& events) {
   report.status = UnitStatus::Failed;
   report.failure = UnitFailure{kind, std::move(reason)};
   stat_unit_failures.bump();
-  obs::EventLog::instance().record(static_cast<std::uint32_t>(unit), report.source_name,
-                                   obs::UnitEvent::Failed, to_string(kind));
+  events.record(unit, obs::UnitEvent::Failed, to_string(kind));
   obs::Span marker("fail:" + report.source_name, "failure");
 }
 
@@ -142,6 +176,7 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
 
 BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptions& opts,
                       const std::string& name, IncrementalState* inc) {
+  UnitEvents events(sources);
   ARA_SPAN("batch", "serve");
   BatchResult result;
   result.units.resize(sources.size());
@@ -209,18 +244,18 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
   // later warm-cache --explain replays them byte-identically.
   std::vector<std::vector<obs::ProvRecord>> unit_prov(sources.size());
 
-  auto& events = obs::EventLog::instance();
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    events.record(static_cast<std::uint32_t>(i), sources[i].name, obs::UnitEvent::Queued);
-  }
+  for (std::size_t i = 0; i < sources.size(); ++i) events.record(i, obs::UnitEvent::Queued);
 
   {
     ARA_SPAN("units", "serve");
     const auto submitted = std::chrono::steady_clock::now();
+    obs::Timeline& timeline = obs::Timeline::current();
     ThreadPool pool(opts.jobs);
     pool.parallel_for(sources.size(), [&](std::size_t i) {
-      // Each worker gets its own trace lane, so per-unit spans render as
-      // parallel tracks in the Chrome trace instead of one nested stack.
+      // Unit spans go to the caller's timeline, and each worker gets its
+      // own trace lane, so per-unit spans render as parallel tracks in the
+      // Chrome trace instead of one nested stack.
+      const obs::TimelineScope on_caller_timeline(timeline);
       obs::set_lane(static_cast<std::uint32_t>(ThreadPool::current_worker()));
       if (obs::enabled()) {
         hist_queue_wait.record(static_cast<std::uint64_t>(
@@ -228,7 +263,7 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
                 std::chrono::steady_clock::now() - submitted)
                 .count()));
       }
-      events.record(static_cast<std::uint32_t>(i), sources[i].name, obs::UnitEvent::Started);
+      events.record(i, obs::UnitEvent::Started);
       obs::Span unit_span(sources[i].name, "serve");
       stat_batch_units.bump();
 
@@ -251,8 +286,7 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
           if (inc != nullptr) {
             const auto it = inc->resident.find(sources[i].name);
             if (it != inc->resident.end() && it->second.key == key) {
-              events.record(static_cast<std::uint32_t>(i), sources[i].name,
-                            obs::UnitEvent::CacheHit, "resident");
+              events.record(i, obs::UnitEvent::CacheHit, "resident");
               stat_resident_hits.bump();
               resident_hit[i] = 1;
               report.diagnostics = it->second.summary.diagnostics;
@@ -262,8 +296,7 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
               }
               summaries[i] = it->second.summary;
               report.status = UnitStatus::Cached;
-              events.record(static_cast<std::uint32_t>(i), sources[i].name,
-                            obs::UnitEvent::Summarized, "resident");
+              events.record(i, obs::UnitEvent::Summarized, "resident");
               return;
             }
           }
@@ -271,20 +304,17 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
             // Replay the cached unit's rendered warnings byte-identically,
             // so a hit is indistinguishable from a re-analysis on the
             // console.
-            events.record(static_cast<std::uint32_t>(i), sources[i].name,
-                          obs::UnitEvent::CacheHit);
+            events.record(i, obs::UnitEvent::CacheHit);
             report.diagnostics = hit->diagnostics;
             unit_prov[i] = hit->provenance;
             for (obs::ProvRecord& p : unit_prov[i]) p.unit = static_cast<std::uint32_t>(i);
             summaries[i] = std::move(*hit);
             report.status = UnitStatus::Cached;
-            events.record(static_cast<std::uint32_t>(i), sources[i].name,
-                          obs::UnitEvent::Summarized, "cached");
+            events.record(i, obs::UnitEvent::Summarized, "cached");
             return;
           }
         }
-        events.record(static_cast<std::uint32_t>(i), sources[i].name,
-                      obs::UnitEvent::CacheMiss, forced[i] ? "invalidated" : "");
+        events.record(i, obs::UnitEvent::CacheMiss, forced[i] ? "invalidated" : "");
 
         if (ARA_FAILPOINT("unit.analyze", sources[i].name)) {
           throw fi::IoFault("injected I/O fault analyzing '" + sources[i].name + "'");
@@ -301,7 +331,7 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
                             &unit_imports[i]);
         }
         if (!ok) {
-          fail_unit(report, i, FailureKind::Compile, "unit did not compile");
+          fail_unit(report, i, FailureKind::Compile, "unit did not compile", events);
           return;
         }
         stat_units_analyzed.bump();
@@ -321,20 +351,19 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
         }
         if (cache.enabled()) cache.store(store_keys[i], *summaries[i]);
         report.status = UnitStatus::Analyzed;
-        events.record(static_cast<std::uint32_t>(i), sources[i].name,
-                      obs::UnitEvent::Summarized);
+        events.record(i, obs::UnitEvent::Summarized);
       } catch (const support::TimeoutError& e) {
-        fail_unit(report, i, FailureKind::Timeout, e.what());
+        fail_unit(report, i, FailureKind::Timeout, e.what(), events);
       } catch (const support::ResourceLimitError& e) {
-        fail_unit(report, i, FailureKind::Resource, e.what());
+        fail_unit(report, i, FailureKind::Resource, e.what(), events);
       } catch (const fi::IoFault& e) {
-        fail_unit(report, i, FailureKind::Io, e.what());
+        fail_unit(report, i, FailureKind::Io, e.what(), events);
       } catch (const std::bad_alloc&) {
-        fail_unit(report, i, FailureKind::Resource, "out of memory analyzing unit");
+        fail_unit(report, i, FailureKind::Resource, "out of memory analyzing unit", events);
       } catch (const std::exception& e) {
-        fail_unit(report, i, FailureKind::Crash, e.what());
+        fail_unit(report, i, FailureKind::Crash, e.what(), events);
       } catch (...) {
-        fail_unit(report, i, FailureKind::Crash, "unknown exception analyzing unit");
+        fail_unit(report, i, FailureKind::Crash, "unknown exception analyzing unit", events);
       }
       // A failed unit never contributes to the link, even if the exception
       // escaped mid-summarization.
@@ -433,7 +462,10 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
     unit_texts.push_back(std::move(texts[i]));
     linked_indices.push_back(i);
   }
-  if (units.empty() && !sources.empty()) return result;  // total failure
+  if (units.empty() && !sources.empty()) {  // total failure
+    result.events = events.take();
+    return result;
+  }
 
   LinkOptions lopts;
   lopts.interprocedural = opts.interprocedural;
@@ -452,9 +484,8 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
   result.provenance.insert(result.provenance.end(),
                            std::make_move_iterator(link_prov.begin()),
                            std::make_move_iterator(link_prov.end()));
-  for (const std::size_t i : linked_indices) {
-    events.record(static_cast<std::uint32_t>(i), sources[i].name, obs::UnitEvent::Linked);
-  }
+  for (const std::size_t i : linked_indices) events.record(i, obs::UnitEvent::Linked);
+  result.events = events.take();
   result.ok = result.failed_units == 0 && result.link.ok;
   result.partial = result.failed_units > 0 && result.link.ok;
   if (result.partial) stat_degraded_runs.bump();

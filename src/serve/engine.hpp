@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "ir/layout.hpp"
+#include "obs/eventlog.hpp"
 #include "serve/depmap.hpp"
 #include "serve/link.hpp"
 #include "serve/summary.hpp"
@@ -99,6 +100,9 @@ struct BatchResult {
   /// phase's records under obs::kLinkUnit. Byte-stable across --jobs values
   /// and cache states.
   std::vector<obs::ProvRecord> provenance;
+  /// Each unit's lifecycle events in unit order, then stage order (empty
+  /// when telemetry is off); t_ns counts from the start of the batch.
+  std::vector<obs::EventRecord> events;
 };
 
 /// One in-memory translation unit.

@@ -1,7 +1,5 @@
 #include "serve/project.hpp"
 
-#include <algorithm>
-
 #include "obs/provenance.hpp"
 #include "rgn/region_row.hpp"
 #include "support/string_utils.hpp"
@@ -37,13 +35,9 @@ std::shared_ptr<const ProjectSnapshot> ProjectState::analyze(
       }
       run->push_back(i);
     }
-    // Ledger merge order: (unit, seq); run_batch already emits it that way,
-    // the sort pins the contract (see ProvenanceLedger::merged).
-    std::stable_sort(result.provenance.begin(), result.provenance.end(),
-                     [](const obs::ProvRecord& a, const obs::ProvRecord& b) {
-                       if (a.unit != b.unit) return a.unit < b.unit;
-                       return a.seq < b.seq;
-                     });
+    // Export order, (unit, seq): run_batch already emits it that way, the
+    // sort pins the contract.
+    obs::sort_provenance(result.provenance);
     snap->provenance_jsonl = obs::write_provenance_jsonl(result.provenance, name_);
     snap->provenance = std::move(result.provenance);
   }

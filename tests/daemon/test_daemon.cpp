@@ -24,6 +24,8 @@
 
 #include "daemon/client.hpp"
 #include "daemon/rpc.hpp"
+#include "obs/stats.hpp"
+#include "obs/timeline.hpp"
 #include "rgn/region_row.hpp"
 #include "support/faultinject.hpp"
 #include "support/json.hpp"
@@ -157,6 +159,29 @@ TEST(Daemon, WarmStateMakesSecondAnalyzeResident) {
   ASSERT_TRUE(inc.has_value() && inc->ok);
   EXPECT_EQ(num(inc->result, "cache_misses"), 2u);
   EXPECT_EQ(num(inc->result, "invalidated_units"), 1u);
+}
+
+TEST(Daemon, RequestsLeaveNoSpansInTheProcessTimeline) {
+  // arad keeps telemetry on for its whole life, so a request's spans go to
+  // a timeline of its own, dropped with the reply; the unit tasks of a
+  // `jobs` 4 analyze record on pool workers into that same timeline.
+  obs::set_enabled(true);
+  obs::Timeline::instance().clear();
+  {
+    DaemonServer server(DaemonOptions{temp_socket("spans"), 2, 64, 1});
+    for (int i = 0; i < 4; ++i) {
+      std::string params = two_unit_params("spans", /*edited=*/i % 2 == 1);
+      params.insert(params.size() - 1, ",\"jobs\":4");
+      const std::string analyzed =
+          server.handle_line(R"({"id":1,"method":"analyze","params":)" + params + "}");
+      EXPECT_NE(analyzed.find("\"ok\":true"), std::string::npos) << analyzed;
+      const std::string queried = server.handle_line(
+          R"({"id":2,"method":"query","params":{"project":"spans","artifact":"rgn"}})");
+      EXPECT_NE(queried.find("\"ok\":true"), std::string::npos) << queried;
+    }
+  }
+  obs::set_enabled(false);
+  EXPECT_TRUE(obs::Timeline::instance().empty());
 }
 
 TEST(Daemon, MalformedAndCrashingRequestsDoNotKillTheServer) {

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/stats.hpp"
 #include "support/json.hpp"
@@ -230,6 +234,108 @@ TEST(AracCli, ProfileWritesAFoldedFile) {
 TEST(AracCli, MissingFlagValueIsUsageError) {
   EXPECT_EQ(arac({"--profile"}).rc, 1);
   EXPECT_EQ(arac({"--metrics-out"}).rc, 1);
+}
+
+TEST(AracCli, ClientModeRefusesFlagsItCannotHonour) {
+  // The daemon runs the analysis, so telemetry, IR, loop verdicts and unit
+  // limits of this process would silently do nothing: each is a usage
+  // error named before any connection is tried.
+  const fs::path dir = write_ledger_units("arac_client_refusals_test");
+  const std::vector<std::vector<std::string>> refused = {
+      {"--trace", (dir / "t.json").string()},
+      {"--metrics-out", (dir / "m.json").string()},
+      {"--events", (dir / "e.jsonl").string()},
+      {"--profile", (dir / "p.folded").string()},
+      {"--stats"},
+      {"--time-report"},
+      {"--dump-ir"},
+      {"--loops"},
+      {"--max-depth", "1"},
+      {"--max-ast-nodes", "1"},
+      {"--max-loop-trip", "1"},
+      {"--max-arrays", "1"},
+      {"--unit-timeout-ms", "1"},
+  };
+  for (const std::vector<std::string>& flag : refused) {
+    std::vector<std::string> args = {"--daemon-connect", (dir / "no.sock").string()};
+    args.insert(args.end(), flag.begin(), flag.end());
+    args.push_back((dir / "ua.f").string());
+    const CliRun r = arac(args);
+    EXPECT_EQ(r.rc, 1) << flag[0];
+    EXPECT_NE(r.err.find("arac: " + flag[0] + " is unavailable with --daemon-connect"),
+              std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.err.find("cannot connect"), std::string::npos) << r.err;
+  }
+  for (const char* file : {"t.json", "m.json", "e.jsonl", "p.folded"}) {
+    EXPECT_FALSE(fs::exists(dir / file)) << file;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(AracCli, RetryAndDeadlineRequireDaemonConnect) {
+  for (const char* flag : {"--retry", "--deadline-ms"}) {
+    const CliRun r = arac({flag, "2", workload("fig10_matrix.c")});
+    EXPECT_EQ(r.rc, 1) << flag;
+    EXPECT_NE(r.err.find(std::string("arac: ") + flag + " requires --daemon-connect"),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << "nothing may run: " << r.out;
+  }
+}
+
+/// The `"causes": {...}` object of a .stats.json or --metrics-out file.
+std::string causes_of(const std::string& text) {
+  const std::size_t at = text.find("\"causes\": {");
+  if (at == std::string::npos) return "";
+  return text.substr(at, text.find('}', at) - at + 1);
+}
+
+TEST(AracCli, StatsAndMetricsCountTheRunsOwnCauseRecords) {
+  // The precision section's causes count this run's records, loop verdicts
+  // included when they were computed: the same records --provenance-out
+  // writes, for the .stats.json with and without --export-dir.
+  const fs::path dir = fs::temp_directory_path() / "arac_causes_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<std::string> lu;
+  for (const auto& e : fs::directory_iterator(fs::path(ARA_WORKLOADS_DIR) / "lu")) {
+    lu.push_back(e.path().string());
+  }
+  std::sort(lu.begin(), lu.end());
+  auto run = [&](std::vector<std::string> args) {
+    args.insert(args.end(), lu.begin(), lu.end());
+    const CliRun r = arac(args);
+    EXPECT_EQ(r.rc, 0) << r.err;
+  };
+  run({"--quiet", "--name", "lu", "--jobs", "4", "--stats", "--export-dir",
+       (dir / "export").string(), "--metrics-out", (dir / "m.json").string(),
+       "--provenance-out", (dir / "p.jsonl").string()});
+
+  std::map<std::string, int> kinds;
+  std::istringstream prov(slurp(dir / "p.jsonl"));
+  std::string line;
+  std::getline(prov, line);  // header
+  while (std::getline(prov, line)) {
+    const std::size_t at = line.find("\"kind\": \"") + 9;
+    ++kinds[line.substr(at, line.find('"', at) - at)];
+  }
+  ASSERT_GT(kinds.count("loop_not_parallel"), 0u);
+  std::string want = "\"causes\": {";
+  for (const auto& [kind, n] : kinds) {
+    want += (want.back() == '{' ? "\"" : ", \"") + kind + "\": " + std::to_string(n);
+  }
+  want += "}";
+  EXPECT_EQ(causes_of(slurp(dir / "export" / "lu.stats.json")), want);
+  EXPECT_EQ(causes_of(slurp(dir / "m.json")), want);
+
+  // Without --export-dir, --stats writes NAME.stats.json in the cwd.
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+  run({"--quiet", "--name", "lu", "--stats", "--provenance-out", (dir / "p2.jsonl").string()});
+  fs::current_path(cwd);
+  EXPECT_EQ(causes_of(slurp(dir / "lu.stats.json")), want);
+  fs::remove_all(dir);
 }
 
 TEST(AracCli, DumpIrPrintsEveryUnitAtAnyJobCount) {

@@ -1,17 +1,19 @@
-// The per-unit lifecycle event log: deterministic merge ordering (ascending
-// unit, then lifecycle stage — byte-identical across --jobs values apart
-// from t_ns/lane), complete lifecycle coverage through the real batch
-// engine, the failure cross-reference, and the JSONL rendering.
+// The per-unit lifecycle events a batch run returns in BatchResult::events:
+// complete lifecycle coverage through the real batch engine in (unit,
+// stage) order — the same across --jobs values apart from t_ns/lane — the
+// `detail` values (resident hits here; disk hits, invalidations and compile
+// failures through the shipped binary in arac_ledger_cli), and the JSONL
+// rendering.
 #include "obs/eventlog.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "obs/stats.hpp"
 #include "serve/engine.hpp"
 #include "support/json.hpp"
 
@@ -20,14 +22,8 @@ namespace {
 
 class EventLogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    set_enabled(true);
-    EventLog::instance().clear();
-  }
-  void TearDown() override {
-    set_enabled(false);
-    EventLog::instance().clear();
-  }
+  void SetUp() override { set_enabled(true); }
+  void TearDown() override { set_enabled(false); }
 };
 
 serve::SourceBuffer unit(const std::string& name, int trip) {
@@ -61,56 +57,21 @@ std::vector<Key> keys_of(const std::vector<EventRecord>& events) {
   return keys;
 }
 
-TEST_F(EventLogTest, LifecycleStagesFollowTheCanonicalOrder) {
-  EXPECT_EQ(lifecycle_stage(UnitEvent::Queued), 0u);
-  EXPECT_EQ(lifecycle_stage(UnitEvent::Started), 1u);
-  EXPECT_EQ(lifecycle_stage(UnitEvent::CacheHit), 2u);
-  EXPECT_EQ(lifecycle_stage(UnitEvent::CacheMiss), 2u);
-  EXPECT_EQ(lifecycle_stage(UnitEvent::Summarized), 3u);
-  EXPECT_EQ(lifecycle_stage(UnitEvent::Failed), 3u);
-  EXPECT_EQ(lifecycle_stage(UnitEvent::Linked), 4u);
-}
-
-TEST_F(EventLogTest, MergedSortsByUnitThenStageRegardlessOfRecordOrder) {
-  EventLog& log = EventLog::instance();
-  log.record(1, "b.f", UnitEvent::Started);
-  log.record(0, "a.f", UnitEvent::Queued);
-  log.record(1, "b.f", UnitEvent::Queued);
-  log.record(0, "a.f", UnitEvent::Started);
-  const auto events = log.merged();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].unit, 0u);
-  EXPECT_EQ(events[0].event, UnitEvent::Queued);
-  EXPECT_EQ(events[1].unit, 0u);
-  EXPECT_EQ(events[1].event, UnitEvent::Started);
-  EXPECT_EQ(events[2].unit, 1u);
-  EXPECT_EQ(events[2].event, UnitEvent::Queued);
-  EXPECT_EQ(events[3].unit, 1u);
-  EXPECT_EQ(events[3].event, UnitEvent::Started);
-}
-
-TEST_F(EventLogTest, ConcurrentRecordingMergesDeterministically) {
-  constexpr std::uint32_t kThreads = 4;
-  constexpr std::uint32_t kUnitsPerThread = 16;
-  std::vector<std::thread> threads;
-  for (std::uint32_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
-      for (std::uint32_t i = 0; i < kUnitsPerThread; ++i) {
-        const std::uint32_t u = t * kUnitsPerThread + i;
-        const std::string name = "u" + std::to_string(u);
-        EventLog::instance().record(u, name, UnitEvent::Queued);
-        EventLog::instance().record(u, name, UnitEvent::Started);
-        EventLog::instance().record(u, name, UnitEvent::Summarized);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const auto events = EventLog::instance().merged();
-  ASSERT_EQ(events.size(), kThreads * kUnitsPerThread * 3u);
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    const auto a = std::make_pair(events[i - 1].unit, lifecycle_stage(events[i - 1].event));
-    const auto b = std::make_pair(events[i].unit, lifecycle_stage(events[i].event));
-    EXPECT_LT(a, b) << "merge order violated at index " << i;
+/// Checks that every unit has exactly `stages` in order, with `detail` on
+/// the given stages.
+void expect_lifecycles(const std::vector<EventRecord>& events,
+                       const std::vector<serve::SourceBuffer>& sources,
+                       const std::vector<UnitEvent>& stages,
+                       const std::vector<std::string>& details) {
+  ASSERT_EQ(events.size(), sources.size() * stages.size());
+  for (std::size_t u = 0; u < sources.size(); ++u) {
+    for (std::size_t s = 0; s < stages.size(); ++s) {
+      const EventRecord& e = events[u * stages.size() + s];
+      EXPECT_EQ(e.unit, u);
+      EXPECT_EQ(e.unit_name, sources[u].name);
+      EXPECT_EQ(e.event, stages[s]) << "unit " << u << " stage " << s;
+      EXPECT_EQ(e.detail, details[s]) << "unit " << u << " stage " << s;
+    }
   }
 }
 
@@ -120,36 +81,48 @@ TEST_F(EventLogTest, BatchRunCoversEveryUnitsFullLifecycle) {
   opts.jobs = 4;
   const serve::BatchResult r = serve::run_batch(sources, opts, "ledger");
   ASSERT_TRUE(r.ok);
-
-  const auto events = EventLog::instance().merged();
-  ASSERT_EQ(events.size(), sources.size() * 5u)
-      << "expected queued/started/cache_miss/summarized/linked per unit";
-  for (std::size_t u = 0; u < sources.size(); ++u) {
-    const EventRecord* per_unit = &events[u * 5];
-    for (int s = 0; s < 5; ++s) {
-      EXPECT_EQ(per_unit[s].unit, u);
-      EXPECT_EQ(per_unit[s].unit_name, sources[u].name);
-      EXPECT_EQ(lifecycle_stage(per_unit[s].event), static_cast<std::uint32_t>(s));
+  // No cache dir: every unit misses.
+  expect_lifecycles(r.events, sources,
+                    {UnitEvent::Queued, UnitEvent::Started, UnitEvent::CacheMiss,
+                     UnitEvent::Summarized, UnitEvent::Linked},
+                    {"", "", "", "", ""});
+  // Within a unit the stages happen in order, timed from the batch start.
+  for (std::size_t i = 1; i < r.events.size(); ++i) {
+    if (r.events[i].unit == r.events[i - 1].unit) {
+      EXPECT_GE(r.events[i].t_ns, r.events[i - 1].t_ns) << "event " << i;
     }
-    EXPECT_EQ(per_unit[2].event, UnitEvent::CacheMiss);  // no cache dir: all misses
-    EXPECT_EQ(per_unit[3].event, UnitEvent::Summarized);
-    EXPECT_EQ(per_unit[4].event, UnitEvent::Linked);
   }
+  EXPECT_LT(r.events.front().t_ns, 1'000'000'000ull);
 }
 
-TEST_F(EventLogTest, MergedOrderIsIdenticalAcrossJobCounts) {
+TEST_F(EventLogTest, ResidentHitsCarryTheResidentDetail) {
+  const auto sources = six_units();
+  serve::BatchOptions opts;
+  opts.jobs = 2;
+  serve::IncrementalState inc;
+  ASSERT_TRUE(serve::run_batch(sources, opts, "warm", &inc).ok);
+  const serve::BatchResult r = serve::run_batch(sources, opts, "warm", &inc);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.resident_hits, sources.size());
+  expect_lifecycles(r.events, sources,
+                    {UnitEvent::Queued, UnitEvent::Started, UnitEvent::CacheHit,
+                     UnitEvent::Summarized, UnitEvent::Linked},
+                    {"", "", "resident", "resident", ""});
+}
+
+TEST_F(EventLogTest, EventsAreIdenticalAcrossJobCounts) {
   const auto sources = six_units();
   serve::BatchOptions opts;
   opts.jobs = 1;
-  ASSERT_TRUE(serve::run_batch(sources, opts, "det").ok);
-  const std::vector<Key> serial = keys_of(EventLog::instance().merged());
-  ASSERT_FALSE(serial.empty());
+  const serve::BatchResult serial = serve::run_batch(sources, opts, "det");
+  ASSERT_TRUE(serial.ok);
+  ASSERT_FALSE(serial.events.empty());
 
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{4}}) {
-    EventLog::instance().clear();
     opts.jobs = jobs;
-    ASSERT_TRUE(serve::run_batch(sources, opts, "det").ok);
-    EXPECT_EQ(keys_of(EventLog::instance().merged()), serial) << "--jobs " << jobs;
+    const serve::BatchResult r = serve::run_batch(sources, opts, "det");
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(keys_of(r.events), keys_of(serial.events)) << "--jobs " << jobs;
   }
 }
 
@@ -161,29 +134,37 @@ TEST_F(EventLogTest, FailedUnitRecordsFailureKindDetail) {
   const serve::BatchResult r = serve::run_batch(sources, opts, "fail");
   EXPECT_FALSE(r.ok);
 
-  bool saw_failed = false;
-  for (const EventRecord& e : EventLog::instance().merged()) {
-    if (e.event != UnitEvent::Failed) continue;
-    saw_failed = true;
-    EXPECT_EQ(e.unit, 2u);
-    EXPECT_EQ(e.unit_name, sources[2].name);
-    EXPECT_FALSE(e.detail.empty()) << "Failed events must carry the FailureKind";
-    // The failed unit must not also reach summarized or linked.
-    for (const EventRecord& other : EventLog::instance().merged()) {
-      if (other.unit != e.unit) continue;
-      EXPECT_NE(other.event, UnitEvent::Summarized);
-      EXPECT_NE(other.event, UnitEvent::Linked);
-    }
+  std::vector<Key> unit2;
+  for (const EventRecord& e : r.events) {
+    if (e.unit == 2) unit2.emplace_back(e.unit, e.unit_name, to_string(e.event), e.detail);
   }
-  EXPECT_TRUE(saw_failed);
+  // Failed carries the FailureKind; the unit reaches neither summarized nor
+  // linked.
+  const std::vector<Key> want = {{2, "u2.f", "queued", ""},
+                                 {2, "u2.f", "started", ""},
+                                 {2, "u2.f", "cache_miss", ""},
+                                 {2, "u2.f", "failed", "compile"}};
+  EXPECT_EQ(unit2, want);
+  EXPECT_EQ(r.events.size(), 5 * 5 + 4u);
+}
+
+TEST_F(EventLogTest, DisabledTelemetryRecordsNoEvents) {
+  set_enabled(false);
+  const auto sources = six_units();
+  serve::BatchOptions opts;
+  opts.jobs = 2;
+  const serve::BatchResult r = serve::run_batch(sources, opts, "off");
+  ASSERT_TRUE(r.ok);
+  EXPECT_TRUE(r.events.empty());
 }
 
 TEST_F(EventLogTest, JsonlRenderingHasValidHeaderAndOneObjectPerLine) {
-  EventLog& log = EventLog::instance();
-  log.record(0, "a.f", UnitEvent::Queued);
-  log.record(0, "a.f", UnitEvent::Started);
-  log.record(0, "a.f", UnitEvent::Failed, "compile");
-  const std::string text = write_events_jsonl(log.merged(), "unit-test");
+  const std::vector<EventRecord> events = {
+      {0, "a.f", UnitEvent::Queued, 0, 10, ""},
+      {0, "a.f", UnitEvent::Started, 1, 20, ""},
+      {0, "a.f", UnitEvent::Failed, 1, 30, "compile"},
+  };
+  const std::string text = write_events_jsonl(events, "unit-test");
 
   std::istringstream in(text);
   std::string line;
@@ -206,22 +187,12 @@ TEST_F(EventLogTest, JsonlRenderingHasValidHeaderAndOneObjectPerLine) {
     if (ev->find("event")->string == "failed") {
       ASSERT_NE(ev->find("detail"), nullptr);
       EXPECT_EQ(ev->find("detail")->string, "compile");
+    } else {
+      EXPECT_EQ(ev->find("detail"), nullptr);
     }
     ++body_lines;
   }
   EXPECT_EQ(body_lines, 3u);
-}
-
-TEST_F(EventLogTest, DisabledRecordIsANoOpAndClearEmpties) {
-  set_enabled(false);
-  EventLog::instance().record(0, "a.f", UnitEvent::Queued);
-  EXPECT_TRUE(EventLog::instance().empty());
-  set_enabled(true);
-  EventLog::instance().record(0, "a.f", UnitEvent::Queued);
-  EXPECT_FALSE(EventLog::instance().empty());
-  EventLog::instance().clear();
-  EXPECT_TRUE(EventLog::instance().empty());
-  EXPECT_TRUE(EventLog::instance().merged().empty());
 }
 
 }  // namespace

@@ -102,9 +102,7 @@ TEST(ProvScopeTest, AmbientContextAttributesDeepRecords) {
   EXPECT_EQ(out[2].proc, "proc_a") << "nested scope restores the outer context";
 }
 
-TEST(ProvenanceLedgerTest, MergedSortsByUnitThenSequence) {
-  ProvenanceLedger& ledger = ProvenanceLedger::instance();
-  ledger.clear();
+TEST(SortProvenanceTest, SortsByUnitThenSequence) {
   std::vector<ProvRecord> unit2;
   std::vector<ProvRecord> unit0;
   {
@@ -116,18 +114,32 @@ TEST(ProvenanceLedgerTest, MergedSortsByUnitThenSequence) {
     prov_record(CauseKind::UnionWidening, {"p0", "a", "u0.f", 1});
     prov_record(CauseKind::UnionDrop, {"p0", "b", "u0.f", 2});
   }
-  // Append in the "wrong" order; merged() must still sort (unit, seq).
-  ledger.append(unit2);
-  ledger.append(unit0);
-  EXPECT_EQ(ledger.size(), 3u);
-  const std::vector<ProvRecord> merged = ledger.merged();
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].proc, "p0");
-  EXPECT_EQ(merged[1].proc, "p0");
-  EXPECT_EQ(merged[1].seq, 1u);
-  EXPECT_EQ(merged[2].proc, "p2");
-  ledger.clear();
-  EXPECT_EQ(ledger.size(), 0u);
+  // Appended in the "wrong" order (unit 2 first, unit 0's records reversed);
+  // the sort restores (unit, seq).
+  std::vector<ProvRecord> records = unit2;
+  records.push_back(unit0[1]);
+  records.push_back(unit0[0]);
+  sort_provenance(records);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].proc, "p0");
+  EXPECT_EQ(records[0].seq, 0u);
+  EXPECT_EQ(records[1].proc, "p0");
+  EXPECT_EQ(records[1].seq, 1u);
+  EXPECT_EQ(records[2].proc, "p2");
+}
+
+TEST(SortProvenanceTest, PrecisionSectionCountsTheGivenCausesOnly) {
+  std::vector<ProvRecord> records;
+  {
+    const ProvSink sink(&records, 0);
+    prov_record(CauseKind::UnionDrop, {"p", "a", "u.f", 1});
+    prov_record(CauseKind::UnionDrop, {"p", "b", "u.f", 2});
+    prov_record(CauseKind::NonAffineSubscript, {"p", "a", "u.f", 3}, 0);
+  }
+  EXPECT_NE(render_precision_json(0, records).find(
+                "\"causes\": {\"non_affine_subscript\": 1, \"union_drop\": 2}"),
+            std::string::npos);
+  EXPECT_NE(render_precision_json(0, {}).find("\"causes\": {}"), std::string::npos);
 }
 
 TEST(ProvenanceJsonl, HeaderRecordsAndLinkUnit) {

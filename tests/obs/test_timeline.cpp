@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace ara::obs {
 namespace {
 
@@ -88,14 +92,73 @@ TEST_F(TimelineTest, DisabledSpansRecordNothing) {
   EXPECT_TRUE(Timeline::instance().empty());
 }
 
-TEST_F(TimelineTest, EndClosesLeakedInnerSpans) {
-  Timeline& tl = Timeline::instance();
-  const std::uint32_t outer = tl.begin("outer", "test");
-  (void)tl.begin("leaked", "test");
-  tl.end(outer);  // must close "leaked" too
-  const auto events = tl.completed();
+TEST_F(TimelineTest, InstalledTimelineTakesTheThreadsSpans) {
+  Timeline request;
+  {
+    const TimelineScope scope(request);
+    EXPECT_EQ(&Timeline::current(), &request);
+    ARA_SPAN("request", "test");
+    { ARA_SPAN("inner", "test"); }
+  }
+  EXPECT_EQ(&Timeline::current(), &Timeline::instance());
+  EXPECT_TRUE(Timeline::instance().empty());
+  const auto events = request.completed();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_NE(find(events, "leaked"), nullptr);
+  EXPECT_EQ(events[0].name, "request");
+  EXPECT_EQ(events[1].parent, 0);
+  EXPECT_EQ(events[1].depth, 1u);
+}
+
+TEST_F(TimelineTest, SpansNestOnlyWithinTheirOwnTimeline) {
+  Timeline request;
+  {
+    ARA_SPAN("outer", "test");
+    {
+      const TimelineScope scope(request);
+      ARA_SPAN("root-of-request", "test");
+    }
+    ARA_SPAN("after", "test");
+  }
+  const auto req = request.completed();
+  ASSERT_EQ(req.size(), 1u);
+  EXPECT_EQ(req[0].parent, -1) << "a span under a newly installed timeline is a root";
+  EXPECT_EQ(req[0].depth, 0u);
+  const auto process = Timeline::instance().completed();
+  ASSERT_EQ(process.size(), 2u);
+  const SpanEvent* after = find(process, "after");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(process[static_cast<std::size_t>(after->parent)].name, "outer");
+}
+
+TEST_F(TimelineTest, ThreadsKeepTheirOwnOpenSpans) {
+  // Every thread nests its spans under its own outer span, in one shared
+  // timeline, while the others record concurrently.
+  Timeline shared;
+  constexpr int kThreads = 4;
+  constexpr int kInner = 50;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, t] {
+      const TimelineScope scope(shared);
+      set_lane(static_cast<std::uint32_t>(t + 1));
+      ARA_SPAN("outer-" + std::to_string(t), "test");
+      for (int i = 0; i < kInner; ++i) {
+        ARA_SPAN("inner-" + std::to_string(t), "test");
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const auto events = shared.completed();
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads * (kInner + 1)));
+  for (const SpanEvent& e : events) {
+    if (e.name.rfind("inner-", 0) != 0) continue;
+    ASSERT_GE(e.parent, 0);
+    const SpanEvent& parent = events[static_cast<std::size_t>(e.parent)];
+    EXPECT_EQ(parent.name, "outer-" + e.name.substr(6));
+    EXPECT_EQ(parent.lane, e.lane);
+    EXPECT_EQ(e.depth, 1u);
+  }
+  EXPECT_TRUE(Timeline::instance().empty());
 }
 
 TEST_F(TimelineTest, ClearDropsEventsAndRebasesEpoch) {

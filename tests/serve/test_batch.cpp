@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "driver/compiler.hpp"
 #include "obs/stats.hpp"
+#include "obs/timeline.hpp"
 #include "rgn/dgn.hpp"
 #include "rgn/region_row.hpp"
 
@@ -230,6 +232,52 @@ TEST(Batch, NoIpaModeLinksWithoutInterprocRecords) {
   for (const rgn::RegionRow& row : r.link.rows) {
     EXPECT_NE(row.mode, "IDEF") << row.array;
     EXPECT_NE(row.mode, "IUSE") << row.array;
+  }
+}
+
+TEST(Batch, SpansGoToTheCallersInstalledTimeline) {
+  obs::set_enabled(true);
+  obs::Timeline::instance().clear();
+  obs::Timeline run;
+  BatchOptions opts;
+  opts.jobs = 4;
+  bool ok = false;
+  {
+    const obs::TimelineScope scope(run);
+    ok = run_batch(fig1_units(), opts, "fig1").ok;
+  }
+  obs::set_enabled(false);
+  ASSERT_TRUE(ok);
+  EXPECT_TRUE(obs::Timeline::instance().empty());
+
+  const std::vector<obs::SpanEvent> spans = run.completed();
+  auto find = [&spans](const std::string& name) -> const obs::SpanEvent* {
+    for (const obs::SpanEvent& e : spans) {
+      if (e.name == name && e.cat == "serve") return &e;
+    }
+    return nullptr;
+  };
+  const obs::SpanEvent* batch = find("batch");
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(batch->parent, -1);
+  for (const char* child : {"units", "link"}) {
+    const obs::SpanEvent* e = find(child);
+    ASSERT_NE(e, nullptr) << child;
+    ASSERT_GE(e->parent, 0) << child;
+    EXPECT_EQ(spans[static_cast<std::size_t>(e->parent)].name, "batch") << child;
+  }
+  // One span per unit, each a root on the pool worker that ran it.
+  for (const SourceBuffer& src : fig1_units()) {
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [&src](const obs::SpanEvent& e) {
+                              return e.name == src.name && e.cat == "serve";
+                            }),
+              1)
+        << src.name;
+    const obs::SpanEvent* unit = find(src.name);
+    ASSERT_NE(unit, nullptr) << src.name;
+    EXPECT_EQ(unit->parent, -1) << src.name;
+    EXPECT_LT(unit->lane, opts.jobs) << src.name;
   }
 }
 
