@@ -1,8 +1,8 @@
 // Daemon serving performance on the LU workload: one arad server process'
 // worth of state (in-process DaemonServer + DaemonClient over a real Unix
 // socket), measuring the three analyze regimes — cold, warm (all units
-// resident), incremental (one-unit edit re-analyzes changed + dependents
-// only) — and the warm query path (p50/p99 latency, requests/sec). The
+// resident), incremental (a one-unit edit re-analyzes that unit only) —
+// and the warm query path (p50/p99 latency, requests/sec). The
 // headline is warm_query_speedup: how much faster a warm `query` answers
 // than the cold analysis a plain one-shot arac would have to repeat.
 #include <benchmark/benchmark.h>
@@ -42,7 +42,7 @@ std::vector<SourceBuffer> lu_units() {
 }
 
 /// analyze params for the LU project; `edited` appends a comment to one
-/// unit (exact.f) so only it and its transitive callers re-analyze.
+/// unit (exact.f) so only it re-analyzes.
 std::string analyze_params(const std::vector<SourceBuffer>& units, bool edited) {
   std::string os = "{\"project\":\"lu\",\"jobs\":4,\"sources\":[";
   bool first = true;

@@ -1,7 +1,9 @@
 // Telemetry overhead on the end-to-end pipeline: the same NAS-LU
 // compile+analyze run with observability disabled (the shipping default, one
 // predicted branch per event) and enabled (counters + histograms + span
-// timeline). Writes the unified BENCH_obs_overhead.json record
+// timeline), timed in alternating off/on rounds so both sides see the same
+// host phases; the enabled overhead is the median of the per-round
+// ratios. Writes the unified BENCH_obs_overhead.json record
 // (ara.bench.v1) so the perf trajectory of the obs subsystem stays
 // machine-readable across versions.
 //
@@ -14,10 +16,12 @@
 // (the perf-smoke ctest entry uses 5).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "obs/histogram.hpp"
@@ -27,17 +31,24 @@
 
 namespace {
 
-/// Median-of-repeats wall time for one full analyze() pass on NAS LU.
-double analyze_seconds(ara::driver::Compiler& cc, int repeats) {
-  double best = 1e9;
-  for (int i = 0; i < repeats; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto result = cc.analyze();
-    benchmark::DoNotOptimize(result.rows.size());
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
+/// Alternating off/on rounds timed by print_reproduction.
+constexpr int kRounds = 21;
+
+/// Wall time of one full analyze() pass on NAS LU with telemetry `on`.
+double analyze_seconds(const ara::driver::Compiler& cc, bool on) {
+  ara::obs::set_enabled(on);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto result = cc.analyze();
+  benchmark::DoNotOptimize(result.rows.size());
+  const auto t1 = std::chrono::steady_clock::now();
+  ara::obs::set_enabled(false);
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
 }
 
 void reset_ledger() {
@@ -69,17 +80,35 @@ double disabled_probe_ns() {
 /// the projected disabled-ledger overhead percentage (the --gate metric).
 double print_reproduction(const char* argv0) {
   auto cc = ara::bench::compile_lu();
+  analyze_seconds(*cc, false);  // warm-up, untimed
+  analyze_seconds(*cc, true);
 
-  ara::obs::set_enabled(false);
-  const double off_s = analyze_seconds(*cc, 9);
-
-  ara::obs::set_enabled(true);
+  // Each round times one run of each, the first side alternating, so a
+  // slow phase of a shared host lands on both sides of its ratio.
   reset_ledger();
-  const double on_s = analyze_seconds(*cc, 9);
+  std::vector<double> off_times;
+  std::vector<double> on_times;
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    double off = 0.0;
+    double on = 0.0;
+    if (round % 2 == 0) {
+      off = analyze_seconds(*cc, false);
+      on = analyze_seconds(*cc, true);
+    } else {
+      on = analyze_seconds(*cc, true);
+      off = analyze_seconds(*cc, false);
+    }
+    off_times.push_back(off);
+    on_times.push_back(on);
+    if (off > 0.0) ratios.push_back(on / off);
+  }
+  const double off_s = median(off_times);
+  const double on_s = median(on_times);
 
   // Ledger volume of one enabled run: counters count every bump (the value
   // IS the probe count), histograms their samples, spans fire two probes
-  // (begin + end). The last of the 9 timed repeats left this state behind.
+  // (begin + end). The enabled rounds left this state behind.
   std::uint64_t probes = 0;
   const auto counter_snap = ara::obs::StatsRegistry::instance().snapshot(true);
   for (const auto& c : counter_snap) probes += c.value;
@@ -88,24 +117,26 @@ double print_reproduction(const char* argv0) {
     hist_samples += h.count;
   }
   probes += hist_samples;
-  const std::size_t spans = ara::obs::Timeline::instance().completed().size();
+  std::size_t spans = ara::obs::Timeline::instance().completed().size();
   probes += 2 * static_cast<std::uint64_t>(spans);
-  // analyze_seconds clears nothing between repeats; normalize to one run.
-  probes /= 9;
-  ara::obs::set_enabled(false);
+  // Nothing is cleared between rounds; normalize to one run.
+  probes /= kRounds;
+  hist_samples /= kRounds;
+  spans /= kRounds;
   reset_ledger();
 
   const double probe_ns = disabled_probe_ns();
   const double projected_pct =
       off_s > 0.0 ? probe_ns * static_cast<double>(probes) / (off_s * 1e9) * 100.0 : 0.0;
-  const double overhead_pct = off_s > 0.0 ? (on_s - off_s) / off_s * 100.0 : 0.0;
+  const double overhead_pct = ratios.empty() ? 0.0 : (median(ratios) - 1.0) * 100.0;
 
-  std::printf("=== Telemetry overhead (analyze() on NAS LU, best of 9) ===\n");
+  std::printf("=== Telemetry overhead (analyze() on NAS LU, median of %d off/on rounds) ===\n",
+              kRounds);
   std::printf("  telemetry off:       %.3f ms\n", off_s * 1e3);
   std::printf("  telemetry on:        %.3f ms  (%zu counters, %zu spans, %llu samples)\n",
               on_s * 1e3, counter_snap.size(), spans,
               static_cast<unsigned long long>(hist_samples));
-  std::printf("  enabled overhead:    %+.2f %%\n", overhead_pct);
+  std::printf("  enabled overhead:    %+.2f %%  (median round ratio)\n", overhead_pct);
   std::printf("  dormant probe cost:  %.3f ns  x %llu probes/run\n", probe_ns,
               static_cast<unsigned long long>(probes));
   std::printf("  projected disabled overhead: %.4f %%\n\n", projected_pct);

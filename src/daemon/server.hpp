@@ -6,13 +6,13 @@
 // crashing request answers `ok:false` and the daemon keeps serving.
 //
 // Warm state: one serve::ProjectState per project name, holding the
-// dependency map and resident unit summaries across requests. `analyze`
-// runs the dependency-aware incremental batch (changed units + transitive
-// dependents only); `query` / `explain` answer from the latest published
-// snapshot, including while a re-analysis is in flight. The total resident
-// footprint is bounded by `max_resident_mb`: after each analyze, the
-// least-recently-used projects are evicted (dropped entirely — the disk
-// summary cache still makes their next analyze warm).
+// resident unit summaries across requests. `analyze` runs the incremental
+// batch (only the units whose text changed, plus C units whose imported
+// globals changed shape, are summarized again); `query` / `explain` answer
+// from the latest published snapshot, including while a re-analysis is in
+// flight. The total resident footprint is bounded by `max_resident_mb`:
+// after each analyze, the least-recently-used projects are evicted (dropped
+// entirely — the disk summary cache still makes their next analyze warm).
 #pragma once
 
 #include <atomic>

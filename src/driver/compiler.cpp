@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 
 #include "cfg/cfg.hpp"
 #include "frontend/compile.hpp"
 #include "obs/stats.hpp"
 #include "obs/timeline.hpp"
 #include "rgn/dgn.hpp"
+#include "serve/engine.hpp"
 #include "support/faultinject.hpp"
 #include "support/retry.hpp"
-#include "support/string_utils.hpp"
 
 namespace ara::driver {
 
@@ -31,21 +30,11 @@ void Compiler::add_source(std::string name, std::string text, Language lang) {
 }
 
 bool Compiler::add_file(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string ext = to_lower(path.extension().string());
-  Language lang = Language::Fortran;
-  if (ext == ".c" || ext == ".h") {
-    lang = Language::C;
-  } else if (ext != ".f" && ext != ".f90" && ext != ".for" && ext != ".f77") {
-    // Unknown extension: keep the historical Fortran fallback, but say so
-    // instead of silently misparsing (satellite of ISSUE 3).
-    diags_.warning(SourceLoc{}, "unrecognized extension '" + ext + "' on '" +
-                                    path.filename().string() + "'; assuming Fortran");
-  }
-  add_source(path.filename().string(), buf.str(), lang);
+  std::string warning;
+  std::optional<serve::SourceBuffer> src = serve::read_source(path, &warning);
+  if (!src) return false;
+  if (!warning.empty()) diags_.warning(SourceLoc{}, warning);
+  add_source(std::move(src->name), std::move(src->text), src->lang);
   return true;
 }
 

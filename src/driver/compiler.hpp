@@ -38,9 +38,10 @@ class Compiler {
   /// Registers an in-memory source buffer.
   void add_source(std::string name, std::string text, Language lang);
 
-  /// Loads a file from disk; language chosen by extension (.c/.h → C;
-  /// .f/.f90/.for/.f77 → Fortran; anything else falls back to Fortran with
-  /// a warning diagnostic). Returns false if the file cannot be read.
+  /// Loads a file from disk through serve::read_source: language chosen by
+  /// extension (.c/.h → C; .f/.f90/.for/.f77 → Fortran; anything else falls
+  /// back to Fortran with a warning diagnostic). Returns false if the file
+  /// cannot be read.
   bool add_file(const std::filesystem::path& path);
 
   /// Parse + sema + lowering + layout. False on any error diagnostic.

@@ -77,6 +77,30 @@ std::optional<UnitSummary> decode(const std::optional<std::string>& text,
   return parse_unit_summary(*payload);
 }
 
+/// Publishes `bytes` at `target` without a lock: writes them to a temp file
+/// beside it whose name is unique to this call (`<target>.tmp.<pid>.<n>`,
+/// `n` from a per-process counter), then renames that over `target`.
+/// Concurrent publishers of one path, threads or processes, never share a
+/// temp file, so a reader always opens one publisher's complete bytes.
+/// Returns false, with the temp file removed, when the write or the rename
+/// fails.
+bool publish_file(const std::filesystem::path& target, std::string_view bytes) {
+  static std::atomic<std::uint64_t> next_temp{0};
+  const std::filesystem::path tmp =
+      target.string() + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  std::error_code ec;
+  if (out) std::filesystem::rename(tmp, target, ec);
+  if (!out || ec) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 SummaryCache::SummaryCache(std::filesystem::path dir, bool enabled)
@@ -99,13 +123,8 @@ std::filesystem::path SummaryCache::entry_path(std::string_view key) const {
   return dir_ / (std::string(key) + ".unit");
 }
 
-bool SummaryCache::contains(std::string_view key) const {
-  if (!enabled_) return false;
-  std::error_code ec;
-  return std::filesystem::exists(entry_path(key), ec);
-}
-
-std::optional<UnitSummary> SummaryCache::load(std::string_view key) const {
+std::optional<UnitSummary> SummaryCache::load(
+    std::string_view key, const std::function<bool(const UnitSummary&)>& current) const {
   if (!enabled_) return std::nullopt;
   obs::ScopedLatency lookup_latency(hist_cache_lookup);
   const std::filesystem::path path = entry_path(key);
@@ -147,6 +166,10 @@ std::optional<UnitSummary> SummaryCache::load(std::string_view key) const {
     stat_misses.bump();
     return std::nullopt;
   }
+  if (current && !current(*unit)) {
+    stat_misses.bump();
+    return std::nullopt;
+  }
   stat_hits.bump();
   return unit;
 }
@@ -169,8 +192,9 @@ bool SummaryCache::store(std::string_view key, const UnitSummary& unit) const {
 
   // Atomic publish: a crash mid-store leaves at most an orphaned temp file,
   // never a half-written entry. Concurrent stores of one key each rename
-  // their own complete file (same key == same content, so any rename may
-  // land last).
+  // their own complete file, and any rename may land last: one key is one
+  // summary, apart from the shapes a C unit imported, which every reuse
+  // checks.
   const std::filesystem::path final_path = entry_path(key);
   const bool ok = support::retry_io(
       support::RetryPolicy{},
@@ -185,23 +209,6 @@ bool SummaryCache::store(std::string_view key, const UnitSummary& unit) const {
       [](int) { stat_retries.bump(); });
   if (!ok) return false;
   stat_writes.bump();
-  return true;
-}
-
-bool publish_file(const std::filesystem::path& target, std::string_view bytes) {
-  static std::atomic<std::uint64_t> next_temp{0};
-  const std::filesystem::path tmp =
-      target.string() + ".tmp." + std::to_string(::getpid()) + "." +
-      std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed));
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  std::error_code ec;
-  if (out) std::filesystem::rename(tmp, target, ec);
-  if (!out || ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
   return true;
 }
 

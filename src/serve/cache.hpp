@@ -7,12 +7,15 @@
 // magic, wrong key or version, truncated payload, checksum failure,
 // unparsable summary — degrades to a miss, and a later store simply
 // overwrites the bad entry. Corruption is therefore self-healing and can
-// never crash the tool or poison its output. No operation takes a lock:
-// entries are published by rename (publish_file) and evicted by unlink, so
-// processes and threads sharing a directory never wait on each other.
+// never crash the tool or poison its output. An entry the caller finds
+// stale (a C unit whose imported shapes changed) is a miss as well, but
+// stays on disk: it is well-formed. No operation takes a lock: entries
+// are published by rename and evicted by unlink, so processes and threads
+// sharing a directory never wait on each other.
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -26,8 +29,8 @@ namespace ara::serve {
 /// v2: entries carry the unit's rendered diagnostics (warnings replay on
 /// cache hits). v3: entries carry the unit's provenance cause records
 /// (--explain / .provenance.jsonl replay on cache hits). v4: symbols may be
-/// Kind::Import (cross-unit global import); C unit keys also fold in the
-/// import-table shapes their undeclared references resolved against.
+/// Kind::Import (cross-unit global import); the shapes they imported are
+/// checked against the run's import index on every reuse, not keyed.
 inline constexpr std::string_view kAnalyzerVersion = "openara-serve-4";
 
 class SummaryCache {
@@ -47,32 +50,22 @@ class SummaryCache {
   /// Entry file path for a key (exposed for tests that corrupt entries).
   [[nodiscard]] std::filesystem::path entry_path(std::string_view key) const;
 
-  /// Cheap existence probe (no read, no validation, no counters): used by
-  /// the invalidation pre-pass to classify units as changed vs reusable. A
-  /// corrupt entry probes true and simply misses at load() time.
-  [[nodiscard]] bool contains(std::string_view key) const;
-
   /// Returns the cached summary, or nullopt on any miss (bumping the
-  /// hit/miss — and, for invalid entries, eviction — counters).
-  [[nodiscard]] std::optional<UnitSummary> load(std::string_view key) const;
+  /// hit/miss — and, for invalid entries, eviction — counters). An entry
+  /// that `current` rejects is a miss too, but is not evicted.
+  [[nodiscard]] std::optional<UnitSummary> load(
+      std::string_view key,
+      const std::function<bool(const UnitSummary&)>& current = nullptr) const;
 
-  /// Writes an entry atomically through publish_file. Failures are
-  /// non-fatal: the cache is an accelerator, not a correctness dependency.
+  /// Writes an entry atomically: the bytes go to a temp file whose name is
+  /// unique to this call, which is then renamed over the entry, so a reader
+  /// always opens one writer's complete entry. Failures are non-fatal: the
+  /// cache is an accelerator, not a correctness dependency.
   bool store(std::string_view key, const UnitSummary& unit) const;
 
  private:
   std::filesystem::path dir_;
   bool enabled_ = false;
 };
-
-/// Publishes `bytes` at `target` without a lock: writes them to a temp file
-/// beside it whose name is unique to this call (`<target>.tmp.<pid>.<n>`,
-/// `n` from a per-process counter), then renames that over `target`.
-/// Concurrent publishers of one path, threads or processes, never share a
-/// temp file, so a reader always opens one publisher's complete bytes. Used
-/// for every file written into a cache directory (entries and `deps.map`).
-/// Returns false, with the temp file removed, when the write or the rename
-/// fails.
-bool publish_file(const std::filesystem::path& target, std::string_view bytes);
 
 }  // namespace ara::serve

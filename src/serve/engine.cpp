@@ -6,8 +6,6 @@
 #include <new>
 #include <sstream>
 
-#include <set>
-
 #include "frontend/compile.hpp"
 #include "obs/provenance.hpp"
 #include "obs/histogram.hpp"
@@ -29,7 +27,7 @@ ARA_STATISTIC(stat_unit_failures, "serve.unit_failures",
 ARA_STATISTIC(stat_degraded_runs, "serve.degraded_runs",
               "Batches that linked in degraded mode (some units dropped)");
 ARA_STATISTIC(stat_invalidated, "serve.invalidated_units",
-              "Unchanged units re-summarized because a dependency changed");
+              "Units re-summarized because a global they import changed shape");
 ARA_STATISTIC(stat_resident_hits, "serve.resident_hits",
               "Summaries reused from warm in-memory state (no disk cache read)");
 
@@ -54,12 +52,12 @@ std::string_view to_string(FailureKind kind) {
 namespace {
 
 /// Folds every option that changes a unit's summary (or how it may be
-/// consumed) into the cache key.
+/// consumed) into the cache key. `scalars=1` is a retired option's value,
+/// kept in the bytes so entries stored by earlier builds still hit.
 std::string flags_string(const BatchOptions& opts) {
   std::string flags = "ipa=";
   flags += opts.interprocedural ? '1' : '0';
-  flags += ";scalars=";
-  flags += opts.include_scalars ? '1' : '0';
+  flags += ";scalars=1";
   return flags;
 }
 
@@ -185,59 +183,14 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
   const std::string flags = flags_string(opts);
 
   // Cross-unit global-declaration import (scoped v1: C units only): the
-  // shapes sema may resolve otherwise-undeclared references against.
+  // shapes sema may resolve otherwise-undeclared references against. A
+  // summary is reused only if it imported exactly these shapes.
   const fe::GlobalImportTable import_index = build_global_index(sources);
 
-  // Plain batch runs get a throwaway state seeded from the persisted map so
-  // `arac --cache-dir` shares the daemon's dependency-aware invalidation.
-  std::optional<IncrementalState> local_state;
-  if (inc == nullptr && cache.enabled()) {
-    local_state.emplace();
-    local_state->keep_resident = false;
-    local_state->depmap = DepMap::load(opts.cache_dir);
-    inc = &*local_state;
-  }
-
-  // Serial pre-pass: per-unit lookup keys — text + flags + the import shapes
-  // this unit resolved against last run (recorded in the depmap, so the key
-  // is computable before compiling) — then the invalidation front: units
-  // with no reusable summary, plus every transitive dependent under the
-  // reverse dependency closure.
-  std::vector<std::string> keys(sources.size());
-  std::set<std::string> changed_units;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    std::string key_flags = flags;
-    if (sources[i].lang == Language::C && inc != nullptr) {
-      if (const UnitDeps* prior = inc->depmap.find(sources[i].name)) {
-        key_flags += import_flags(prior->imports, import_index);
-      }
-    }
-    keys[i] =
-        SummaryCache::key_for(sources[i].name, sources[i].text, sources[i].lang, key_flags);
-    bool reusable = false;
-    if (inc != nullptr) {
-      const auto it = inc->resident.find(sources[i].name);
-      reusable = it != inc->resident.end() && it->second.key == keys[i];
-    }
-    if (!reusable && cache.enabled()) reusable = cache.contains(keys[i]);
-    if (!reusable) changed_units.insert(sources[i].name);
-  }
-  const std::set<std::string> invalid =
-      inc != nullptr ? inc->depmap.dependents_closure(changed_units) : changed_units;
-  std::vector<char> forced(sources.size(), 0);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    forced[i] = invalid.count(sources[i].name) != 0 &&
-                changed_units.count(sources[i].name) == 0;
-    if (forced[i]) {
-      ++result.invalidated_units;
-      stat_invalidated.bump();
-    }
-  }
-
   std::vector<std::optional<UnitSummary>> summaries(sources.size());
-  std::vector<std::string> store_keys(keys);
-  std::vector<std::vector<std::string>> unit_imports(sources.size());
+  std::vector<std::string> keys(sources.size());
   std::vector<char> resident_hit(sources.size(), 0);
+  std::vector<char> invalidated(sources.size(), 0);
   std::vector<std::string> texts(sources.size());
   // Per-unit provenance capture. Always on — records must land in the
   // summary (and the cache) even when this run doesn't render them, so a
@@ -251,12 +204,16 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
     const auto submitted = std::chrono::steady_clock::now();
     obs::Timeline& timeline = obs::Timeline::current();
     ThreadPool pool(opts.jobs);
+    const bool inline_run = pool.size() == 1;
     pool.parallel_for(sources.size(), [&](std::size_t i) {
-      // Unit spans go to the caller's timeline, and each worker gets its
-      // own trace lane, so per-unit spans render as parallel tracks in the
-      // Chrome trace instead of one nested stack.
+      // Unit spans go to the caller's timeline, and each pool worker gets
+      // its own trace lane (1..N; an inline run keeps the caller's), so
+      // per-unit spans render as parallel tracks in the Chrome trace
+      // instead of one nested stack.
       const obs::TimelineScope on_caller_timeline(timeline);
-      obs::set_lane(static_cast<std::uint32_t>(ThreadPool::current_worker()));
+      if (!inline_run) {
+        obs::set_lane(static_cast<std::uint32_t>(ThreadPool::current_worker() + 1));
+      }
       if (obs::enabled()) {
         hist_queue_wait.record(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -279,56 +236,64 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
       try {
         const support::LimitScope guard(opts.limits);
 
-        const std::string& key = keys[i];
-        if (!forced[i]) {
-          // Warm in-memory state first (daemon): the summary is reused
-          // verbatim, no disk read, no deserialization.
-          if (inc != nullptr) {
-            const auto it = inc->resident.find(sources[i].name);
-            if (it != inc->resident.end() && it->second.key == key) {
-              events.record(i, obs::UnitEvent::CacheHit, "resident");
-              stat_resident_hits.bump();
-              resident_hit[i] = 1;
-              report.diagnostics = it->second.summary.diagnostics;
-              unit_prov[i] = it->second.summary.provenance;
-              for (obs::ProvRecord& p : unit_prov[i]) {
-                p.unit = static_cast<std::uint32_t>(i);
-              }
-              summaries[i] = it->second.summary;
-              report.status = UnitStatus::Cached;
-              events.record(i, obs::UnitEvent::Summarized, "resident");
-              return;
-            }
-          }
-          if (auto hit = cache.load(key)) {
-            // Replay the cached unit's rendered warnings byte-identically,
-            // so a hit is indistinguishable from a re-analysis on the
-            // console.
-            events.record(i, obs::UnitEvent::CacheHit);
-            report.diagnostics = hit->diagnostics;
-            unit_prov[i] = hit->provenance;
+        // The key covers the unit's own name, language and text and the
+        // analysis flags: no other unit's summary feeds this one. The one
+        // cross-unit input, the shapes a C unit imported, is checked on
+        // every reuse instead.
+        keys[i] = SummaryCache::key_for(sources[i].name, sources[i].text, sources[i].lang,
+                                        flags);
+        bool stale = false;
+        const auto current = [&](const UnitSummary& summary) {
+          if (imports_current(summary, import_index)) return true;
+          stale = true;
+          return false;
+        };
+        // Warm in-memory state first (daemon): the summary is reused
+        // verbatim, no disk read, no deserialization.
+        if (inc != nullptr) {
+          const auto it = inc->resident.find(sources[i].name);
+          if (it != inc->resident.end() && it->second.key == keys[i] &&
+              current(it->second.summary)) {
+            events.record(i, obs::UnitEvent::CacheHit, "resident");
+            stat_resident_hits.bump();
+            resident_hit[i] = 1;
+            report.diagnostics = it->second.summary.diagnostics;
+            unit_prov[i] = it->second.summary.provenance;
             for (obs::ProvRecord& p : unit_prov[i]) p.unit = static_cast<std::uint32_t>(i);
-            summaries[i] = std::move(*hit);
+            summaries[i] = it->second.summary;
             report.status = UnitStatus::Cached;
-            events.record(i, obs::UnitEvent::Summarized, "cached");
+            events.record(i, obs::UnitEvent::Summarized, "resident");
             return;
           }
         }
-        events.record(i, obs::UnitEvent::CacheMiss, forced[i] ? "invalidated" : "");
+        if (auto hit = cache.load(keys[i], current)) {
+          // Replay the cached unit's rendered warnings byte-identically, so
+          // a hit is indistinguishable from a re-analysis on the console.
+          events.record(i, obs::UnitEvent::CacheHit);
+          report.diagnostics = hit->diagnostics;
+          unit_prov[i] = hit->provenance;
+          for (obs::ProvRecord& p : unit_prov[i]) p.unit = static_cast<std::uint32_t>(i);
+          summaries[i] = std::move(*hit);
+          report.status = UnitStatus::Cached;
+          events.record(i, obs::UnitEvent::Summarized, "cached");
+          return;
+        }
+        invalidated[i] = stale ? 1 : 0;
+        events.record(i, obs::UnitEvent::CacheMiss, stale ? "invalidated" : "");
 
         if (ARA_FAILPOINT("unit.analyze", sources[i].name)) {
           throw fi::IoFault("injected I/O fault analyzing '" + sources[i].name + "'");
         }
 
-        // Miss (or caching off, or dependency-invalidated): compile this
-        // unit alone.
+        // Miss (or caching off, or stale imports): compile this unit alone.
         ir::Program program;
         std::vector<fe::ExternRef> externs;
+        std::vector<std::string> imports;
         bool ok = false;
         {
           obs::ScopedLatency parse_latency(hist_unit_parse);
           ok = compile_unit(sources[i], import_index, program, &report.diagnostics, &externs,
-                            &unit_imports[i]);
+                            &imports);
         }
         if (!ok) {
           fail_unit(report, i, FailureKind::Compile, "unit did not compile", events);
@@ -337,19 +302,11 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
         stat_units_analyzed.bump();
         {
           obs::ScopedLatency summarize_latency(hist_unit_summarize);
-          summaries[i] = summarize_unit(program, externs, unit_imports[i]);
+          summaries[i] = summarize_unit(program, externs, imports);
         }
         summaries[i]->diagnostics = report.diagnostics;
         summaries[i]->provenance = unit_prov[i];
-        // The store key folds in the shapes actually imported (the lookup
-        // key used last run's recorded imports; they agree whenever the text
-        // is unchanged, and a changed text misses on the text hash anyway).
-        if (sources[i].lang == Language::C && !unit_imports[i].empty()) {
-          store_keys[i] = SummaryCache::key_for(
-              sources[i].name, sources[i].text, sources[i].lang,
-              flags + import_flags(unit_imports[i], import_index));
-        }
-        if (cache.enabled()) cache.store(store_keys[i], *summaries[i]);
+        if (cache.enabled()) cache.store(keys[i], *summaries[i]);
         report.status = UnitStatus::Analyzed;
         events.record(i, obs::UnitEvent::Summarized);
       } catch (const support::TimeoutError& e) {
@@ -382,7 +339,6 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
         unit_prov[i].push_back(std::move(demote));
       }
     });
-    obs::set_lane(0);
   }
 
   for (std::size_t i = 0; i < result.units.size(); ++i) {
@@ -394,57 +350,18 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
     } else {
       ++result.cache_misses;
     }
+    if (invalidated[i] != 0) {
+      ++result.invalidated_units;
+      stat_invalidated.bump();
+    }
   }
 
-  // Refresh the dependency map from this run's summaries: per unit, the
-  // units defining its called extern procedures plus the units declaring
-  // its imported globals. Rebuilt from scratch so removed units drop out;
-  // failed units keep their previous edges (conservative — their dependents
-  // still invalidate when they change back to life).
   if (inc != nullptr) {
-    std::map<std::string, std::string> proc_owner;    // lowercase proc -> unit
-    std::map<std::string, std::string> global_owner;  // lowercase global -> unit
     for (std::size_t i = 0; i < summaries.size(); ++i) {
-      if (!summaries[i]) continue;
-      for (const SymInfo& sym : summaries[i]->symbols) {
-        if (sym.kind == SymInfo::Kind::Proc) {
-          proc_owner.emplace(to_lower(sym.name), sources[i].name);
-        } else if (sym.kind == SymInfo::Kind::Global) {
-          global_owner.emplace(to_lower(sym.name), sources[i].name);
-        }
-      }
-    }
-    DepMap next;
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-      if (!summaries[i]) {
-        if (const UnitDeps* prior = inc->depmap.find(sources[i].name)) {
-          next.set(sources[i].name, *prior);
-        }
-        continue;
-      }
-      UnitDeps deps;
-      for (const SymInfo& sym : summaries[i]->symbols) {
-        if (sym.kind != SymInfo::Kind::Import) continue;
-        const std::string gname = to_lower(sym.name);
-        deps.imports.push_back(gname);
-        const auto owner = global_owner.find(gname);
-        if (owner != global_owner.end()) deps.deps.push_back(owner->second);
-      }
-      for (const ExternSummary& ext : summaries[i]->externs) {
-        const auto owner = proc_owner.find(ext.name);
-        if (owner != proc_owner.end()) deps.deps.push_back(owner->second);
-      }
-      next.set(sources[i].name, std::move(deps));
-    }
-    inc->depmap = std::move(next);
-    if (cache.enabled()) DepMap::store(opts.cache_dir, inc->depmap);
-    if (inc->keep_resident) {
-      for (std::size_t i = 0; i < summaries.size(); ++i) {
-        if (summaries[i]) {
-          inc->resident[sources[i].name] = ResidentUnit{store_keys[i], *summaries[i]};
-        } else {
-          inc->resident.erase(sources[i].name);
-        }
+      if (summaries[i]) {
+        inc->resident[sources[i].name] = ResidentUnit{keys[i], *summaries[i]};
+      } else {
+        inc->resident.erase(sources[i].name);
       }
     }
   }
@@ -469,7 +386,6 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
 
   LinkOptions lopts;
   lopts.interprocedural = opts.interprocedural;
-  lopts.include_scalars = opts.include_scalars;
   lopts.degraded = result.failed_units > 0;
   lopts.layout = opts.layout;
   std::vector<obs::ProvRecord> link_prov;

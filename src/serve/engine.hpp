@@ -8,6 +8,14 @@
 // in the serial link phase (serve/link.hpp) into the same .rgn/.dgn/.cfg
 // outputs the whole-program library path (driver::Compiler) produces.
 //
+// A unit's summary is a function of its own name, language and text and
+// the analysis flags, those being its cache key: units compile separately,
+// and the link rebuilds everything cross-unit from all the summaries on
+// every run, so an edit re-summarizes only the edited unit. The one input a
+// summary takes from a sibling, the shape of each global a C unit imports,
+// is checked whenever a summary is reused (serve/globals.hpp,
+// imports_current).
+//
 // Output bytes are a function of the input sources and options only: not of
 // --jobs, not of cache hits vs misses. tests/serve enforces this.
 //
@@ -28,7 +36,6 @@
 
 #include "ir/layout.hpp"
 #include "obs/eventlog.hpp"
-#include "serve/depmap.hpp"
 #include "serve/link.hpp"
 #include "serve/summary.hpp"
 #include "support/limits.hpp"
@@ -40,7 +47,6 @@ struct BatchOptions {
   std::string cache_dir;  // empty = caching disabled
   bool use_cache = true;  // false = --no-cache (ignore and don't write entries)
   bool interprocedural = true;
-  bool include_scalars = true;
   /// Per-unit resource guards, installed around each unit task (LimitScope).
   support::ResourceLimits limits;
   ir::LayoutOptions layout;
@@ -85,9 +91,10 @@ struct BatchResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t failed_units = 0;
-  /// Units re-summarized only because a dependency changed (their own text
-  /// and cache entry were fine): the dependency-aware invalidation front
-  /// minus the changed units themselves.
+  /// Misses whose resident or cached summary matched the unit's key but
+  /// was stale: a C unit whose imported globals changed shape or are no
+  /// longer declared (serve/globals.hpp, imports_current). A subset of
+  /// cache_misses.
   std::uint64_t invalidated_units = 0;
   /// Cache hits served from IncrementalState memory without touching disk
   /// (daemon warm state); a subset of cache_hits.
@@ -112,9 +119,10 @@ struct SourceBuffer {
   Language lang = Language::Fortran;
 };
 
-/// Loads a source file, choosing the language by extension exactly like
-/// driver::Compiler::add_file. Returns nullopt if unreadable; `warning`
-/// (when non-null) receives the unknown-extension message, if any.
+/// Loads a source file, choosing the language by extension (`.c`/`.h` are
+/// C, anything else Fortran; driver::Compiler::add_file loads through it
+/// too). Returns nullopt if unreadable; `warning` (when non-null) receives
+/// the unknown-extension message, if any.
 [[nodiscard]] std::optional<SourceBuffer> read_source(const std::filesystem::path& path,
                                                       std::string* warning);
 
@@ -132,32 +140,29 @@ struct SourceBuffer {
 /// One unit summary held in memory across runs (daemon warm state).
 struct ResidentUnit {
   std::string key;      // cache key the summary was produced under
-  UnitSummary summary;  // reused verbatim while the key still matches
+  UnitSummary summary;  // reused verbatim while the key (and imports) match
 };
 
 /// Warm analysis state carried across run_batch calls on the same project:
-/// the last run's dependency map (drives invalidation and import-aware
-/// cache keys) and, when `keep_resident`, the unit summaries themselves so
-/// a warm daemon never re-reads the disk cache for unchanged units.
+/// the last run's unit summaries, so a warm daemon never re-reads the disk
+/// cache for unchanged units.
 struct IncrementalState {
-  DepMap depmap;
   std::map<std::string, ResidentUnit> resident;  // unit name -> last summary
-  bool keep_resident = true;
   /// Rough resident footprint (symbols + records + texts), for the daemon's
   /// LRU memory budget.
   [[nodiscard]] std::size_t resident_bytes() const;
 };
 
-/// Runs the full batch: parallel per-unit phase, then serial link. With a
-/// persistent cache dir this is dependency-aware: a changed unit forces
-/// re-summarization of itself plus its transitive dependents (reverse
-/// closure over the persisted deps.map), everything else replays.
+/// Runs the full batch: parallel per-unit phase, then serial link. A unit
+/// whose key matches a resident or cached summary replays it, if every
+/// global it imported still has that shape in this run's import index;
+/// every other unit is compiled and summarized again.
 [[nodiscard]] BatchResult run_batch(const std::vector<SourceBuffer>& sources,
                                     const BatchOptions& opts, const std::string& name);
 
 /// As above, with caller-owned warm state (the daemon's per-project state).
 /// `inc` may be null; when non-null it is consulted for resident summaries
-/// and refreshed (depmap + resident units) after the batch.
+/// and refreshed with this run's summaries after the batch.
 [[nodiscard]] BatchResult run_batch(const std::vector<SourceBuffer>& sources,
                                     const BatchOptions& opts, const std::string& name,
                                     IncrementalState* inc);

@@ -1,7 +1,6 @@
 #include "serve/globals.hpp"
 
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "frontend/parser_c.hpp"
@@ -135,19 +134,25 @@ std::string import_signature(const fe::ImportDecl& decl) {
   return os.str();
 }
 
-std::string import_flags(const std::vector<std::string>& names,
-                         const fe::GlobalImportTable& index) {
-  if (names.empty()) return {};
-  std::set<std::string> sorted(names.begin(), names.end());
-  std::string out = ";imports=";
-  for (const std::string& name : sorted) {
-    const auto it = index.find(name);
-    out += ipa::io::enc(name);
-    out += '=';
-    out += it != index.end() ? import_signature(it->second) : std::string("!");
-    out += ',';
+bool imports_current(const UnitSummary& summary, const fe::GlobalImportTable& index) {
+  for (const SymInfo& sym : summary.symbols) {
+    if (sym.kind != SymInfo::Kind::Import) continue;
+    const auto it = index.find(to_lower(sym.name));
+    if (it == index.end()) return false;
+    // Sema gives an import the declaration's name, type and dims verbatim
+    // (Sema::import_global), so rebuilding the declaration from the symbol
+    // reproduces the signature it was compiled against.
+    fe::ImportDecl imported;
+    imported.name = sym.name;
+    imported.mtype = sym.mtype;
+    imported.is_array = sym.is_array;
+    imported.row_major = sym.row_major;
+    for (const SymDim& d : sym.dims) {
+      imported.dims.push_back(ir::ArrayDim{d.lb, d.ub, d.lb_sym, d.ub_sym});
+    }
+    if (import_signature(imported) != import_signature(it->second)) return false;
   }
-  return out;
+  return true;
 }
 
 }  // namespace ara::serve

@@ -9,7 +9,9 @@
 // fe::GlobalImportTable that sema consults before erroring. Symbols resolved
 // this way are marked SymInfo::Kind::Import in the unit summary and bound to
 // the declaring unit's Global at link time, so the linked symbol table — and
-// every exported byte — matches the monolithic pipeline.
+// every exported byte — matches the monolithic pipeline. An imported shape
+// is the one input a summary takes from another unit, so a summary is
+// reused only while imports_current holds for this run's index.
 #pragma once
 
 #include <string>
@@ -27,15 +29,16 @@ namespace ara::serve {
 [[nodiscard]] fe::GlobalImportTable build_global_index(
     const std::vector<SourceBuffer>& sources);
 
-/// One-token digest of an import declaration's shape, folded into the cache
-/// key of every unit that imports the name: a changed declaration then
-/// misses (and re-summarizes) exactly the importing units.
+/// One-token digest of an import declaration's shape: name, type, layout
+/// and every bound.
 [[nodiscard]] std::string import_signature(const fe::ImportDecl& decl);
 
-/// The cache-key suffix for one unit: `names` are the (lowercase) globals
-/// the unit imports, resolved against `index`. Deterministic: names are
-/// de-duplicated and sorted; a name absent from the index digests as "!".
-[[nodiscard]] std::string import_flags(const std::vector<std::string>& names,
-                                       const fe::GlobalImportTable& index);
+/// True when `summary` imported exactly what `index` offers now: for each
+/// of its SymInfo::Kind::Import symbols, the index still has the symbol's
+/// lowercase name with an equal import_signature. A changed declaration
+/// thus re-summarizes exactly the units that import it. Only C units hold
+/// imports, so any other summary is current.
+[[nodiscard]] bool imports_current(const UnitSummary& summary,
+                                   const fe::GlobalImportTable& index);
 
 }  // namespace ara::serve

@@ -303,7 +303,7 @@ LinkResult link_units(const std::vector<UnitSummary>& units,
     ARA_SPAN("link-propagate", "serve");
     ipa::InterprocResult propagated =
         ipa::propagate(program, cg, std::move(local_effects), std::move(records),
-                       {opts.interprocedural, opts.include_scalars});
+                       {opts.interprocedural});
     shell.records = std::move(propagated.records);
     shell.formal_binding = std::move(propagated.formal_binding);
   }

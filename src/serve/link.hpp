@@ -38,7 +38,6 @@ namespace ara::serve {
 
 struct LinkOptions {
   bool interprocedural = true;
-  bool include_scalars = true;
   /// Degraded mode: some units failed to analyze and were dropped, so the
   /// survivors may legitimately call procedures no remaining unit defines.
   /// Unresolved externs are then warnings (the call's effects are simply

@@ -1,7 +1,7 @@
 // Reusable warm project state: everything the analysis daemon keeps alive
 // for one project between requests. ProjectState owns the engine's
-// IncrementalState (dependency map + resident unit summaries) and the last
-// completed result as an immutable snapshot. analyze() serializes per
+// IncrementalState (the resident unit summaries) and the last completed
+// result as an immutable snapshot. analyze() serializes per
 // project and publishes a fresh snapshot atomically; query()/explain()
 // readers hold a shared_ptr to whatever snapshot was current when they
 // arrived — so while a re-analysis is in flight, clients are answered from
@@ -59,8 +59,9 @@ class ProjectState {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Runs the dependency-aware incremental batch over `sources` and
-  /// publishes the result as the new snapshot (returned). Serialized per
+  /// Runs the incremental batch over `sources` (each unit whose resident
+  /// summary is still current replays it) and publishes the result as the
+  /// new snapshot (returned). Serialized per
   /// project; concurrent snapshot()/readers are never blocked.
   std::shared_ptr<const ProjectSnapshot> analyze(const std::vector<SourceBuffer>& sources,
                                                  const BatchOptions& opts);

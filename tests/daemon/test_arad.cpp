@@ -46,7 +46,7 @@ std::vector<fs::path> lu_files() {
 }
 
 /// analyze params for the LU project; `edited` appends a comment to
-/// exact.f, so it and its 5 transitive callers re-analyze.
+/// exact.f, so it alone re-analyzes.
 std::string lu_params(bool edited) {
   std::ostringstream os;
   os << "{\"project\":\"lu\",\"sources\":[";

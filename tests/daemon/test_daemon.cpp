@@ -153,12 +153,13 @@ TEST(Daemon, WarmStateMakesSecondAnalyzeResident) {
   EXPECT_EQ(num(warm->result, "cache_misses"), 0u);
   EXPECT_EQ(num(warm->result, "resident_hits"), 2u);
 
-  // Editing the callee invalidates the caller too (its summary links
-  // against the callee's unit): both re-analyze, nothing resident.
+  // Editing the callee re-analyzes the callee alone: the caller's summary
+  // depends only on its own unit and stays resident.
   auto inc = client.call("analyze", two_unit_params("warm", /*edited=*/true));
   ASSERT_TRUE(inc.has_value() && inc->ok);
-  EXPECT_EQ(num(inc->result, "cache_misses"), 2u);
-  EXPECT_EQ(num(inc->result, "invalidated_units"), 1u);
+  EXPECT_EQ(num(inc->result, "cache_misses"), 1u);
+  EXPECT_EQ(num(inc->result, "resident_hits"), 1u);
+  EXPECT_EQ(num(inc->result, "invalidated_units"), 0u);
 }
 
 TEST(Daemon, RequestsLeaveNoSpansInTheProcessTimeline) {

@@ -1,9 +1,9 @@
 // The per-unit lifecycle events a batch run returns in BatchResult::events:
 // complete lifecycle coverage through the real batch engine in (unit,
 // stage) order — the same across --jobs values apart from t_ns/lane — the
-// `detail` values (resident hits here; disk hits, invalidations and compile
-// failures through the shipped binary in arac_ledger_cli), and the JSONL
-// rendering.
+// `detail` values (resident hits and import-shape invalidations here; disk
+// hits and compile failures through the shipped binary in
+// arac_ledger_cli), and the JSONL rendering.
 #include "obs/eventlog.hpp"
 
 #include <gtest/gtest.h>
@@ -108,6 +108,33 @@ TEST_F(EventLogTest, ResidentHitsCarryTheResidentDetail) {
                     {UnitEvent::Queued, UnitEvent::Started, UnitEvent::CacheHit,
                      UnitEvent::Summarized, UnitEvent::Linked},
                     {"", "", "resident", "resident", ""});
+}
+
+TEST_F(EventLogTest, StaleImportedShapeMissCarriesTheInvalidatedDetail) {
+  // use.c reads a global that decl.c declares. Growing the declaration
+  // leaves use.c's text and key alone, but its resident summary imported
+  // the old shape: a miss with detail `invalidated`, re-summarized in full.
+  auto sources = [](const std::string& dim) {
+    return std::vector<serve::SourceBuffer>{
+        {"decl.c", "double grid[" + dim + "];\nvoid fill(void) { grid[0] = 1.0; }\n",
+         Language::C},
+        {"use.c", "double total;\nvoid reduce(void) { total = grid[2]; }\n", Language::C}};
+  };
+  serve::BatchOptions opts;
+  opts.jobs = 2;
+  serve::IncrementalState inc;
+  ASSERT_TRUE(serve::run_batch(sources("8"), opts, "stale", &inc).ok);
+  const serve::BatchResult r = serve::run_batch(sources("16"), opts, "stale", &inc);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.cache_misses, 2u);
+  EXPECT_EQ(r.invalidated_units, 1u);
+  const std::vector<Key> want = {
+      {0, "decl.c", "queued", ""},     {0, "decl.c", "started", ""},
+      {0, "decl.c", "cache_miss", ""}, {0, "decl.c", "summarized", ""},
+      {0, "decl.c", "linked", ""},     {1, "use.c", "queued", ""},
+      {1, "use.c", "started", ""},     {1, "use.c", "cache_miss", "invalidated"},
+      {1, "use.c", "summarized", ""},  {1, "use.c", "linked", ""}};
+  EXPECT_EQ(keys_of(r.events), want);
 }
 
 TEST_F(EventLogTest, EventsAreIdenticalAcrossJobCounts) {

@@ -1,7 +1,8 @@
 // Tests for the persistent summary cache: round trips, key sensitivity, the
 // robustness contract — corrupt, truncated, stale-version or mismatched
 // entries are misses (counted as evictions, then overwritten by the next
-// store), never crashes — and the lock-free concurrency contract: racing
+// store), never crashes; an entry the caller finds stale is a miss that
+// stays on disk — and the lock-free concurrency contract: racing
 // stores and evictions never publish a torn entry, never return a wrong
 // summary, and never wait on one another.
 #include "serve/cache.hpp"
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "obs/stats.hpp"
-#include "serve/depmap.hpp"
 #include "serve/summary.hpp"
 
 namespace ara::serve {
@@ -91,6 +91,22 @@ TEST_F(CacheTest, StoreThenLoadRoundTrips) {
   EXPECT_EQ(counter("serve.cache_misses"), 1u);
   EXPECT_EQ(counter("serve.cache_writes"), 1u);
   EXPECT_EQ(counter("serve.cache_evictions"), 0u);
+}
+
+TEST_F(CacheTest, EntryTheCallerRejectsIsAMissThatStaysOnDisk) {
+  // A well-formed entry that is not current for this caller (a C unit whose
+  // imported shapes changed) counts as a miss, not a hit, and is not
+  // evicted: a caller for whom it is current still hits.
+  const SummaryCache cache(dir_, true);
+  const std::string key = SummaryCache::key_for("sample.f", "text", Language::Fortran, "f");
+  ASSERT_TRUE(cache.store(key, sample_unit()));
+  EXPECT_FALSE(cache.load(key, [](const UnitSummary&) { return false; }).has_value());
+  EXPECT_EQ(counter("serve.cache_hits"), 0u);
+  EXPECT_EQ(counter("serve.cache_misses"), 1u);
+  EXPECT_EQ(counter("serve.cache_evictions"), 0u);
+  EXPECT_TRUE(fs::exists(cache.entry_path(key)));
+  EXPECT_TRUE(cache.load(key, [](const UnitSummary&) { return true; }).has_value());
+  EXPECT_EQ(counter("serve.cache_hits"), 1u);
 }
 
 TEST_F(CacheTest, DisabledCacheDoesNothing) {
@@ -180,11 +196,7 @@ TEST_F(CacheTest, StoreIsAtomicNoTmpLeftBehind) {
   const SummaryCache cache(dir_, true);
   const std::string key = SummaryCache::key_for("s.f", "t", Language::Fortran, "f");
   ASSERT_TRUE(cache.store(key, sample_unit()));
-  DepMap deps;
-  deps.set("s.f", UnitDeps{{}, {}});
-  ASSERT_TRUE(DepMap::store(dir_, deps));
   EXPECT_TRUE(fs::exists(cache.entry_path(key)));
-  EXPECT_TRUE(fs::exists(DepMap::path_in(dir_)));
   for (const auto& e : fs::directory_iterator(dir_)) {
     EXPECT_EQ(e.path().filename().string().find(".tmp."), std::string::npos) << e.path();
   }

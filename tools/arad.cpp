@@ -1,9 +1,9 @@
 // arad — the long-lived array-analysis daemon. Listens on a Unix socket,
 // speaks ara.rpc.v1 (docs/FORMATS.md), and keeps per-project analysis state
 // warm between requests so re-analysis after an edit touches only the
-// changed units and their transitive dependents. Runs in the foreground;
-// backgrounding is the caller's job (shell `&`, a supervisor, the tests'
-// fixture). `arac --daemon-connect SOCKET` is the matching client.
+// changed units. Runs in the foreground; backgrounding is the caller's job
+// (shell `&`, a supervisor, the tests' fixture). `arac --daemon-connect
+// SOCKET` is the matching client.
 #include <atomic>
 #include <chrono>
 #include <csignal>
