@@ -24,9 +24,11 @@
 
 #include "daemon/client.hpp"
 #include "daemon/rpc.hpp"
+#include "obs/provenance.hpp"
 #include "obs/stats.hpp"
 #include "obs/timeline.hpp"
 #include "rgn/region_row.hpp"
+#include "serve/engine.hpp"
 #include "support/faultinject.hpp"
 #include "support/json.hpp"
 #include "support/string_utils.hpp"
@@ -600,30 +602,41 @@ TEST(Daemon, ReclaimsAStaleSocketFile) {
   EXPECT_TRUE(fresh.started);
 }
 
-/// analyze params for the NAS-LU workload, plus `extra` as one more
-/// Fortran unit when it is not empty.
-std::string lu_params(const std::string& project, const std::string& extra = "") {
+/// analyze params for `sources`, every unit Fortran or C as its language.
+std::string params_of(const std::string& project, const std::vector<serve::SourceBuffer>& sources) {
+  std::ostringstream os;
+  os << "{\"project\":\"" << project << "\",\"sources\":[";
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    os << (i == 0 ? "" : ",") << "{\"name\":\"" << json::escape(sources[i].name)
+       << "\",\"lang\":\"" << (sources[i].lang == Language::C ? "c" : "fortran")
+       << "\",\"text\":\"" << json::escape(sources[i].text) << "\"}";
+  }
+  os << "]}";
+  return os.str();
+}
+
+/// Every unit of the NAS-LU workload, in file-name order.
+std::vector<serve::SourceBuffer> lu_sources() {
   std::vector<fs::path> files;
   for (const auto& e : fs::directory_iterator(fs::path(ARA_WORKLOADS_DIR) / "lu")) {
     files.push_back(e.path());
   }
   std::sort(files.begin(), files.end());
-  std::ostringstream os;
-  os << "{\"project\":\"" << project << "\",\"sources\":[";
-  auto add = [&, first = true](const std::string& name, const std::string& text) mutable {
-    os << (first ? "" : ",") << "{\"name\":\"" << name << "\",\"lang\":\"fortran\",\"text\":\""
-       << json::escape(text) << "\"}";
-    first = false;
-  };
+  std::vector<serve::SourceBuffer> sources;
   for (const fs::path& f : files) {
-    std::ifstream in(f);
-    std::ostringstream text;
-    text << in.rdbuf();
-    add(f.filename().string(), text.str());
+    std::optional<serve::SourceBuffer> src = serve::read_source(f, nullptr);
+    EXPECT_TRUE(src.has_value()) << f;
+    if (src) sources.push_back(std::move(*src));
   }
-  if (!extra.empty()) add("extra.f", extra);
-  os << "]}";
-  return os.str();
+  return sources;
+}
+
+/// analyze params for the NAS-LU workload, plus `extra` as one more
+/// Fortran unit when it is not empty.
+std::string lu_params(const std::string& project, const std::string& extra = "") {
+  std::vector<serve::SourceBuffer> sources = lu_sources();
+  if (!extra.empty()) sources.push_back({"extra.f", extra, Language::Fortran});
+  return params_of(project, sources);
 }
 
 /// The result object of one request sent straight through the handler.
@@ -717,6 +730,203 @@ TEST(Daemon, QueryByArrayMatchesTheRowScan) {
     ASSERT_NE(reply.find("text"), nullptr);
     EXPECT_EQ(reply.find("text")->string, scanned_table(second, array)) << array;
   }
+}
+
+/// One C unit of `procs` procedures over as many global arrays with
+/// 250-character names: about 2.2 MB of source whose `.rgn` is about 2.2 MB.
+serve::SourceBuffer bulky_unit(int procs = 160) {
+  const std::string pad(250, 'x');
+  const auto array = [&](int p) {
+    std::string n = std::to_string(p);
+    return "bulk_" + pad + "_" + std::string(3 - n.size(), '0') + n;
+  };
+  std::string text;
+  for (int p = 0; p < procs; ++p) text += "double " + array(p) + "[64][64];\n";
+  for (int p = 0; p < procs; ++p) {
+    text += "void proc_" + std::to_string(p) + "(void) {\n  int i, j;\n";
+    for (int q = 0; q < 40; ++q) {
+      text += "  for (i = " + std::to_string(q % 7) + "; i < 64; i++) { for (j = 0; j < " +
+              std::to_string(64 - q % 5) + "; j++) { " + array((p + q) % procs) +
+              "[i][j] = i + j; } }\n";
+    }
+    text += "}\n";
+  }
+  return {"bulk.c", text, Language::C};
+}
+
+/// A raw connection to a daemon's socket, for tests that frame bytes
+/// themselves; -1 on failure.
+int raw_connect(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads from `fd` until `count` whole lines arrived or the peer closed.
+std::vector<std::string> read_lines(int fd, std::size_t count) {
+  std::vector<std::string> lines;
+  std::string buffer;
+  char chunk[65536];
+  while (lines.size() < count) {
+    const std::size_t nl = buffer.find('\n');
+    if (nl != std::string::npos) {
+      lines.push_back(buffer.substr(0, nl + 1));
+      buffer.erase(0, nl + 1);
+      continue;
+    }
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  return lines;
+}
+
+TEST(Daemon, MultiMegabyteRequestLineInPiecesAndASecondRequestInOneWrite) {
+  const std::string analyze =
+      "{\"id\":1,\"method\":\"analyze\",\"params\":" + params_of("big", {bulky_unit()}) + "}";
+  ASSERT_GT(analyze.size(), 2u * 1024 * 1024);
+  const std::string query =
+      R"({"id":2,"method":"query","params":{"project":"big","artifact":"rgn"}})";
+
+  // What each line must answer: the same lines straight through the handler
+  // of a daemon of its own.
+  DaemonServer reference(DaemonOptions{temp_socket("framing_ref"), 2, 512, 1});
+  const std::string want_analyze = reference.handle_line(analyze);
+  const std::string want_query = reference.handle_line(query);
+  ASSERT_NE(want_analyze.find("\"ok\":true"), std::string::npos) << want_analyze;
+  ASSERT_NE(want_query.find("\"ok\":true"), std::string::npos);
+
+  RunningDaemon d(DaemonOptions{temp_socket("framing"), 2, 512, 1});
+  ASSERT_TRUE(d.started);
+  const int fd = raw_connect(d.server.socket_path());
+  ASSERT_GE(fd, 0);
+  // The analyze line goes out in pieces of 1, 4095, 4097 and 65537 bytes in
+  // turn; the last piece carries its tail, its newline and the whole query.
+  const std::string bytes = analyze + "\n" + query + "\n";
+  const std::size_t tail = analyze.size() - 1000;
+  const std::size_t pieces[] = {1, 4095, 4097, 65537};
+  std::size_t off = 0;
+  for (std::size_t i = 0; off < tail; ++i) {
+    const std::size_t len = std::min(pieces[i % 4], tail - off);
+    ASSERT_EQ(::write(fd, bytes.data() + off, len), static_cast<ssize_t>(len));
+    off += len;
+  }
+  ASSERT_EQ(::write(fd, bytes.data() + off, bytes.size() - off),
+            static_cast<ssize_t>(bytes.size() - off));
+  const std::vector<std::string> replies = read_lines(fd, 2);
+  ::close(fd);
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0], want_analyze);
+  EXPECT_EQ(replies[1], want_query);
+}
+
+TEST(Daemon, RgnAndProvenanceArtifactsEqualAColdRun) {
+  DaemonServer server(DaemonOptions{temp_socket("artifacts"), 2, 512, 1});
+  std::vector<serve::SourceBuffer> sources = lu_sources();
+  ASSERT_EQ(sources.size(), 20u);
+  const std::string rgn_query = R"({"project":"lu","artifact":"rgn"})";
+  const std::string prov_query = R"({"project":"lu","artifact":"provenance"})";
+  for (const char* edited : {"", "exact.f", "rhs.f"}) {
+    SCOPED_TRACE(edited);
+    for (serve::SourceBuffer& src : sources) {
+      if (src.name == edited) src.text += "\n! edited\n";
+    }
+    ASSERT_TRUE(call_direct(server, "analyze", params_of("lu", sources)).find("rows") != nullptr);
+    serve::BatchResult cold = serve::run_batch(sources, serve::BatchOptions{}, "lu");
+    ASSERT_TRUE(cold.ok);
+    obs::sort_provenance(cold.provenance);
+    // Twice each: a second request for an artifact answers the same bytes.
+    for (int round = 0; round < 2; ++round) {
+      const json::Value rgn = call_direct(server, "query", rgn_query);
+      ASSERT_NE(rgn.find("text"), nullptr);
+      EXPECT_EQ(rgn.find("text")->string, rgn::write_rgn(cold.link.rows));
+      const json::Value prov = call_direct(server, "query", prov_query);
+      ASSERT_NE(prov.find("text"), nullptr);
+      EXPECT_EQ(prov.find("text")->string, obs::write_provenance_jsonl(cold.provenance, "lu"));
+    }
+  }
+}
+
+TEST(DaemonClientTest, MultiMegabyteRgnReplyRoundTrips) {
+  RunningDaemon d(DaemonOptions{temp_socket("bigreply"), 2, 512, 1});
+  ASSERT_TRUE(d.started);
+  DaemonClient client;
+  ASSERT_TRUE(client.connect(d.server.socket_path(), nullptr));
+  const std::vector<serve::SourceBuffer> sources = {bulky_unit()};
+  auto analyzed = client.call("analyze", params_of("bulk", sources));
+  ASSERT_TRUE(analyzed.has_value() && analyzed->ok) << (analyzed ? analyzed->error : "");
+
+  const serve::BatchResult cold = serve::run_batch(sources, serve::BatchOptions{}, "bulk");
+  ASSERT_TRUE(cold.ok);
+  const std::string want = rgn::write_rgn(cold.link.rows);
+  ASSERT_GT(want.size(), 2u * 1024 * 1024);
+  for (int round = 0; round < 2; ++round) {
+    auto rgn = client.call("query", R"({"project":"bulk","artifact":"rgn"})");
+    ASSERT_TRUE(rgn.has_value() && rgn->ok);
+    ASSERT_NE(rgn->result.find("text"), nullptr);
+    EXPECT_EQ(rgn->result.find("text")->string, want);
+  }
+  auto status = client.call("status", "{}");
+  ASSERT_TRUE(status.has_value() && status->ok);
+}
+
+TEST(DaemonClientTest, ReadsEndingMidLineAndHoldingTwoLines) {
+  // A scripted server: the first reply arrives in two writes, the first
+  // ending mid-line; the second write carries its tail and the whole second
+  // reply, so the client's next call finds its line already read.
+  const std::string path = temp_socket("scripted");
+  fs::remove(path);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  const std::string long_text(3000, 'q');
+  const std::string first = "{\"id\":1,\"ok\":true,\"result\":{\"text\":\"" + long_text + "\"}}\n";
+  const std::string second = "{\"id\":2,\"ok\":true,\"result\":{\"text\":\"second\"}}\n";
+  const std::string third = "{\"id\":3,\"ok\":true,\"result\":{\"text\":\"third\"}}\n";
+  std::vector<std::string> requests;
+  std::thread server([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    requests = read_lines(fd, 1);
+    const std::size_t split = 1500;
+    (void)::write(fd, first.data(), split);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::string rest = first.substr(split) + second;
+    (void)::write(fd, rest.data(), rest.size());
+    std::vector<std::string> more = read_lines(fd, 2);
+    requests.insert(requests.end(), more.begin(), more.end());
+    (void)::write(fd, third.data(), third.size());
+    ::close(fd);
+  });
+
+  DaemonClient client;
+  ASSERT_TRUE(client.connect(path, nullptr));
+  auto a = client.call("query", "{}");
+  auto b = client.call("query", "{}");
+  auto c = client.call("query", "{}");
+  server.join();
+  ::close(listener);
+  fs::remove(path);
+  ASSERT_TRUE(a.has_value() && b.has_value() && c.has_value());
+  EXPECT_EQ(a->id, 1u);
+  EXPECT_EQ(a->result.find("text")->string, long_text);
+  EXPECT_EQ(b->id, 2u);
+  EXPECT_EQ(b->result.find("text")->string, "second");
+  EXPECT_EQ(c->id, 3u);
+  EXPECT_EQ(c->result.find("text")->string, "third");
+  EXPECT_EQ(requests.size(), 3u);
 }
 
 }  // namespace

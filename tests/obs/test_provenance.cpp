@@ -7,13 +7,54 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "difftest/generator.hpp"
+#include "serve/engine.hpp"
 #include "serve/summary.hpp"
+#include "support/json.hpp"
 
 namespace ara::obs {
 namespace {
+
+namespace fs = std::filesystem;
+
+/// Reference: the stream writer write_provenance_jsonl must reproduce byte
+/// for byte.
+std::string reference_jsonl(const std::vector<ProvRecord>& records, std::string_view run_name) {
+  std::ostringstream os;
+  os << "{\"schema\": \"ara.prov.v1\", \"run\": \"" << json::escape(run_name)
+     << "\", \"records\": " << records.size() << "}\n";
+  for (const ProvRecord& r : records) {
+    if (r.unit == kLinkUnit) {
+      os << "{\"unit\": \"link\"";
+    } else {
+      os << "{\"unit\": " << r.unit;
+    }
+    os << ", \"seq\": " << r.seq << ", \"kind\": \"" << to_string(r.kind) << "\"";
+    if (!r.proc.empty()) os << ", \"proc\": \"" << json::escape(r.proc) << "\"";
+    if (!r.array.empty()) os << ", \"array\": \"" << json::escape(r.array) << "\"";
+    if (r.dim >= 0) os << ", \"dim\": " << r.dim;
+    if (!r.file.empty()) os << ", \"file\": \"" << json::escape(r.file) << "\"";
+    if (r.line != 0) os << ", \"line\": " << r.line;
+    if (!r.detail.empty()) os << ", \"detail\": \"" << json::escape(r.detail) << "\"";
+    os << "}\n";
+  }
+  return os.str();
+}
+
+/// A batch run's records in export order, as arac renders them.
+std::vector<ProvRecord> batch_records(const std::vector<serve::SourceBuffer>& sources,
+                                      const std::string& what) {
+  serve::BatchResult result = serve::run_batch(sources, serve::BatchOptions{}, what);
+  EXPECT_TRUE(result.ok || result.partial) << what;
+  sort_provenance(result.provenance);
+  return std::move(result.provenance);
+}
 
 TEST(CauseKind, TagsRoundTripAndRejectUnknown) {
   const CauseKind kinds[] = {
@@ -165,6 +206,82 @@ TEST(ProvenanceJsonl, HeaderRecordsAndLinkUnit) {
       << text;
   // Two identical inputs produce identical bytes (no timestamps, no lanes).
   EXPECT_EQ(text, write_provenance_jsonl(records, "demo"));
+}
+
+TEST(ProvenanceJsonl, MatchesTheReferenceOnHandBuiltRecords) {
+  const std::vector<std::string> values = {
+      "",           "plain",         "say \"hi\"",     "back\\slash",   "tab\tnew\nline\rcr",
+      "\x01\x02\x1f",  std::string("nul\0inside", 10),  "\xc3\xa9t\xc3\xa9 \xe2\x82\xac", "/slash/",   "\x7f del",
+      "\"\\\"\\",       "\xff\xfe raw"};
+  std::vector<ProvRecord> records;
+  for (std::size_t i = 0; i < values.size() * 2; ++i) {
+    ProvRecord r;
+    r.unit = i % 3 == 2 ? kLinkUnit : static_cast<std::uint32_t>(i);
+    r.seq = static_cast<std::uint32_t>(i * 7);
+    r.kind = static_cast<CauseKind>(i % 14);
+    r.proc = values[i % values.size()];
+    r.array = values[(i + 1) % values.size()];
+    r.dim = static_cast<std::int32_t>(i % 4) - 1;
+    r.file = values[(i + 2) % values.size()];
+    r.line = i % 5 == 0 ? 0 : static_cast<std::uint32_t>(i * 1000);
+    r.detail = values[(i + 3) % values.size()];
+    records.push_back(r);
+    EXPECT_EQ(write_provenance_jsonl({r}, "one"), reference_jsonl({r}, "one")) << "record " << i;
+  }
+  EXPECT_EQ(write_provenance_jsonl(records, "run \"q\" \\ \x01"),
+            reference_jsonl(records, "run \"q\" \\ \x01"));
+  EXPECT_EQ(write_provenance_jsonl({}, ""), reference_jsonl({}, ""));
+  ProvRecord bare;
+  bare.unit = kLinkUnit;
+  EXPECT_EQ(write_provenance_jsonl({bare}, "bare"), reference_jsonl({bare}, "bare"));
+}
+
+TEST(ProvenanceJsonl, MatchesTheReferenceOnEveryWorkload) {
+  for (const char* name : {"lu", "heat", "fig1_add.f", "fig10_matrix.c", "caf_halo.f"}) {
+    const fs::path path = fs::path(ARA_WORKLOADS_DIR) / name;
+    std::vector<fs::path> files;
+    if (fs::is_directory(path)) {
+      for (const auto& e : fs::directory_iterator(path)) files.push_back(e.path());
+    } else {
+      files.push_back(path);
+    }
+    std::sort(files.begin(), files.end());
+    std::vector<serve::SourceBuffer> sources;
+    for (const fs::path& f : files) {
+      std::optional<serve::SourceBuffer> src = serve::read_source(f, nullptr);
+      ASSERT_TRUE(src.has_value()) << f;
+      sources.push_back(std::move(*src));
+    }
+    const std::vector<ProvRecord> records = batch_records(sources, name);
+    EXPECT_EQ(write_provenance_jsonl(records, name), reference_jsonl(records, name)) << name;
+  }
+}
+
+TEST(ProvenanceJsonl, MatchesTheReferenceOnGeneratedPrograms) {
+  // 25 seeds x {C, Fortran} x {default, stress-FM grid} = 100 programs.
+  std::size_t with_records = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    for (const Language lang : {Language::C, Language::Fortran}) {
+      for (const bool stress_fm : {false, true}) {
+        difftest::GenOptions gopts;
+        gopts.seed = seed;
+        gopts.lang = lang;
+        if (stress_fm) {  // arafuzz --stress-fm
+          gopts.max_loop_depth = 5;
+          gopts.max_loop_vars = 6;
+          gopts.coupled_pct = 60;
+          gopts.stmts = 6;
+        }
+        const difftest::GeneratedProgram prog = difftest::generate(gopts);
+        const std::string what = prog.filename + " seed " + std::to_string(seed);
+        const std::vector<ProvRecord> records =
+            batch_records({{prog.filename, prog.source, prog.lang}}, what);
+        if (!records.empty()) ++with_records;
+        EXPECT_EQ(write_provenance_jsonl(records, what), reference_jsonl(records, what)) << what;
+      }
+    }
+  }
+  EXPECT_GT(with_records, 50u) << "the corpus must exercise the record lines";
 }
 
 TEST(ProvenanceSerde, SurvivesTheUnitSummaryRoundTrip) {

@@ -88,7 +88,7 @@ TEST(GlobalImport, ChangedDeclarationInvalidatesTheImportingUnit) {
   ASSERT_TRUE(warm->ok);
   EXPECT_EQ(warm->cache_misses, 0u);
   EXPECT_EQ(warm->resident_hits, 2u);
-  EXPECT_EQ(warm->rgn_text, cold->rgn_text);
+  EXPECT_EQ(rgn::write_rgn(warm->rows), rgn::write_rgn(cold->rows));
 
   // Growing the shared array changes use.c's analysis (dims come from the
   // declared extent) even though use.c's text is untouched: its resident
@@ -100,7 +100,7 @@ TEST(GlobalImport, ChangedDeclarationInvalidatesTheImportingUnit) {
   EXPECT_EQ(grown->invalidated_units, 1u);
   EXPECT_EQ(grown->resident_hits, 0u);
   EXPECT_EQ(grown->units[1].status, UnitStatus::Analyzed);
-  EXPECT_NE(grown->rgn_text, cold->rgn_text);
+  EXPECT_NE(rgn::write_rgn(grown->rows), rgn::write_rgn(cold->rows));
 
   // An edit that leaves the declaration alone (a trailing comment) leaves
   // use.c's imported shape current: only decl.c is summarized again.
@@ -112,7 +112,7 @@ TEST(GlobalImport, ChangedDeclarationInvalidatesTheImportingUnit) {
   EXPECT_EQ(kept->invalidated_units, 0u);
   EXPECT_EQ(kept->resident_hits, 1u);
   EXPECT_EQ(kept->units[1].status, UnitStatus::Cached);
-  EXPECT_EQ(kept->rgn_text, grown->rgn_text);
+  EXPECT_EQ(rgn::write_rgn(kept->rows), rgn::write_rgn(grown->rows));
 }
 
 TEST(GlobalImport, CacheDirReuseChecksTheImportedShapes) {

@@ -14,8 +14,16 @@
 #include <string>
 #include <vector>
 
+#include "obs/provenance.hpp"
+#include "rgn/region_row.hpp"
+
 namespace ara::serve {
 namespace {
+
+/// The snapshot's provenance as `query` `artifact: provenance` renders it.
+std::string jsonl(const ProjectSnapshot& snap, std::string_view project) {
+  return obs::write_provenance_jsonl(snap.provenance, project);
+}
 
 constexpr std::size_t kUnits = 10;
 
@@ -65,7 +73,7 @@ TEST(ProjectState, ColdThenWarmThenIncremental) {
   EXPECT_EQ(warm->generation, 2u);
   EXPECT_EQ(warm->cache_misses, 0u);
   EXPECT_EQ(warm->resident_hits, kUnits);
-  EXPECT_EQ(warm->rgn_text, cold->rgn_text);
+  EXPECT_EQ(rgn::write_rgn(warm->rows), rgn::write_rgn(cold->rows));
 
   // Edit unit 7 (a trailing comment: content hash changes, semantics do
   // not). Units 0..6 call into it transitively, but a summary depends only
@@ -83,10 +91,10 @@ TEST(ProjectState, ColdThenWarmThenIncremental) {
   ProjectState fresh("ten");
   auto full = fresh.analyze(project_units(/*edited_unit=*/7), opts);
   ASSERT_TRUE(full->ok);
-  EXPECT_EQ(inc->rgn_text, full->rgn_text);
+  EXPECT_EQ(rgn::write_rgn(inc->rows), rgn::write_rgn(full->rows));
   EXPECT_EQ(inc->dgn_text, full->dgn_text);
   EXPECT_EQ(inc->cfg_text, full->cfg_text);
-  EXPECT_EQ(inc->provenance_jsonl, full->provenance_jsonl);
+  EXPECT_EQ(jsonl(*inc, "ten"), jsonl(*full, "ten"));
 }
 
 TEST(ProjectState, EditingALeafInvalidatesOnlyTheLeaf) {
@@ -147,10 +155,10 @@ TEST(ProjectState, EachLuEditResummarizesOnlyTheEditedUnit) {
     ProjectState fresh("lu");
     auto full = fresh.analyze(sources, BatchOptions{});
     ASSERT_TRUE(full->ok);
-    EXPECT_EQ(inc->rgn_text, full->rgn_text);
+    EXPECT_EQ(rgn::write_rgn(inc->rows), rgn::write_rgn(full->rows));
     EXPECT_EQ(inc->dgn_text, full->dgn_text);
     EXPECT_EQ(inc->cfg_text, full->cfg_text);
-    EXPECT_EQ(inc->provenance_jsonl, full->provenance_jsonl);
+    EXPECT_EQ(jsonl(*inc, "lu"), jsonl(*full, "lu"));
   }
 }
 
@@ -174,13 +182,13 @@ TEST(ProjectState, SnapshotSurvivesReanalysisAndFailure) {
   EXPECT_FALSE(bad->ok);
   EXPECT_TRUE(bad->partial);
   EXPECT_EQ(bad->failed_units, 1u);
-  EXPECT_EQ(held->rgn_text, first->rgn_text);
+  EXPECT_EQ(rgn::write_rgn(held->rows), rgn::write_rgn(first->rows));
   EXPECT_EQ(state.snapshot(), bad);
 
   // Fixing the unit recovers a clean generation.
   auto fixed = state.analyze(project_units(), opts);
   ASSERT_TRUE(fixed->ok);
-  EXPECT_EQ(fixed->rgn_text, first->rgn_text);
+  EXPECT_EQ(rgn::write_rgn(fixed->rows), rgn::write_rgn(first->rows));
 }
 
 TEST(ProjectState, ResidentBytesGrowWithState) {

@@ -57,6 +57,60 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_NE(err.find("offset"), std::string::npos);
 }
 
+TEST(Json, ParsesEveryEscape) {
+  EXPECT_EQ(parse(R"("\"\\\/\b\f\n\r\t")")->string, "\"\\/\b\f\n\r\t");
+  EXPECT_EQ(parse(R"("\u0041\u00e9\u20ac\u0000z")")->string,
+            std::string("A\xc3\xa9\xe2\x82\xac\0z", 8));
+  EXPECT_EQ(parse(R"("\u00E9")")->string, "\xc3\xa9") << "hex digits of either case";
+  EXPECT_EQ(parse(R"("")")->string, "");
+  EXPECT_EQ(parse(R"("\\")")->string, "\\");
+  EXPECT_EQ(parse(R"("x\\")")->string, "x\\");
+  EXPECT_EQ(parse(R"("\\x")")->string, "\\x");
+}
+
+TEST(Json, LongUnescapedRunsSurviveIntact) {
+  std::string run;
+  for (int i = 0; i < 100000; ++i) run += static_cast<char>('a' + i % 26);
+  EXPECT_EQ(parse("\"" + run + "\"")->string, run);
+  // Runs broken up by escapes at the start, the middle and the end.
+  const std::string mixed = "\\n" + run + "\\t" + run + "\\\"";
+  EXPECT_EQ(parse("\"" + mixed + "\"")->string, "\n" + run + "\t" + run + "\"");
+  const auto v = parse("{\"" + run + "\": [\"" + run + "\", \"\\u0041" + run + "\"]}");
+  ASSERT_TRUE(v.has_value());
+  ASSERT_EQ(v->object.size(), 1u);
+  EXPECT_EQ(v->object[0].first, run);
+  ASSERT_EQ(v->object[0].second.array.size(), 2u);
+  EXPECT_EQ(v->object[0].second.array[0].string, run);
+  EXPECT_EQ(v->object[0].second.array[1].string, "A" + run);
+}
+
+TEST(Json, RawControlCharactersAndNonAsciiPassThroughStrings) {
+  // The parser is lenient about raw control bytes inside strings: they are
+  // kept verbatim, not rejected.
+  const std::string raw = std::string("a\x01" "b\tc\nd\re\0f\x1f", 12) + "\xc3\xa9\xff";
+  const auto v = parse("\"" + raw + "\"");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->string, raw);
+}
+
+TEST(Json, StringErrorsNameTheirOffset) {
+  const auto error_of = [](std::string_view text) {
+    std::string err;
+    EXPECT_FALSE(parse(text, &err).has_value()) << text;
+    return err;
+  };
+  EXPECT_EQ(error_of("\"unterminated"), "offset 13: unterminated string");
+  EXPECT_EQ(error_of("\"ends in a backslash\\"), "offset 21: unterminated string");
+  EXPECT_EQ(error_of("\"bad \\q escape\""), "offset 7: unknown escape");
+  EXPECT_EQ(error_of(R"("\u12")"), "offset 3: truncated \\u escape");
+  EXPECT_EQ(error_of(R"("\u12zz")"), "offset 3: bad \\u escape");
+  EXPECT_EQ(error_of(R"("\u+123")"), "offset 3: bad \\u escape");
+  EXPECT_EQ(error_of(R"({"a":"x)"), "offset 7: unterminated string");
+  EXPECT_EQ(error_of(R"({"a)"), "offset 3: unterminated string");
+  EXPECT_EQ(error_of(R"({a:1})"), "offset 1: expected string");
+  EXPECT_EQ(error_of("\"" + std::string(5000, 'x')), "offset 5001: unterminated string");
+}
+
 TEST(Json, EscapeRoundTripsThroughParse) {
   const std::string nasty = "quote \" slash \\ newline \n tab \t ctrl \x01 done";
   const auto v = parse("\"" + escape(nasty) + "\"");
