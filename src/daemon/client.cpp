@@ -71,14 +71,14 @@ std::optional<RpcReply> DaemonClient::call(std::string_view method,
 
   // One response line per request; anything past the newline stays buffered
   // (the daemon never sends unsolicited data, but the read can split lines).
-  std::string line;
+  // Only bytes not yet searched can hold the newline, so a long reply
+  // arriving in many reads is scanned once.
+  std::size_t scanned = 0;
+  std::size_t nl = 0;
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      break;
-    }
+    nl = buffer_.find('\n', scanned);
+    if (nl != std::string::npos) break;
+    scanned = buffer_.size();
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
@@ -86,7 +86,8 @@ std::optional<RpcReply> DaemonClient::call(std::string_view method,
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 
-  const std::optional<json::Value> v = json::parse(line);
+  std::optional<json::Value> v = json::parse(std::string_view(buffer_.data(), nl));
+  buffer_.erase(0, nl + 1);
   if (!v.has_value() || !v->is_object()) return std::nullopt;
 
   RpcReply reply;
@@ -97,8 +98,8 @@ std::optional<RpcReply> DaemonClient::call(std::string_view method,
     reply.ok = ok->boolean;
   }
   if (reply.ok) {
-    if (const json::Value* result = v->find("result"); result != nullptr) {
-      reply.result = *result;
+    if (json::Value* result = v->find("result"); result != nullptr) {
+      reply.result = std::move(*result);
     }
   } else if (const json::Value* err = v->find("error");
              err != nullptr && err->is_string()) {

@@ -5,7 +5,7 @@
 
 namespace ara::daemon {
 
-std::optional<RpcRequest> parse_request(const std::string& line, std::string* error,
+std::optional<RpcRequest> parse_request(std::string_view line, std::string* error,
                                         std::uint64_t* id_out) {
   auto fail = [&](std::string_view why) -> std::optional<RpcRequest> {
     if (error != nullptr) *error = std::string(why);
@@ -13,7 +13,7 @@ std::optional<RpcRequest> parse_request(const std::string& line, std::string* er
   };
 
   std::string parse_error;
-  const std::optional<json::Value> v = json::parse(line, &parse_error);
+  std::optional<json::Value> v = json::parse(line, &parse_error);
   if (!v.has_value()) return fail("bad JSON: " + parse_error);
   if (!v->is_object()) return fail("request must be a JSON object");
 
@@ -30,9 +30,9 @@ std::optional<RpcRequest> parse_request(const std::string& line, std::string* er
   if (method == nullptr || !method->is_string()) return fail("'method' must be a string");
   req.method = method->string;
 
-  if (const json::Value* params = v->find("params"); params != nullptr) {
+  if (json::Value* params = v->find("params"); params != nullptr) {
     if (!params->is_object()) return fail("'params' must be an object");
-    req.params = *params;
+    req.params = std::move(*params);
   }
   return req;
 }

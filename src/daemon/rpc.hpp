@@ -36,7 +36,7 @@ struct RpcRequest {
 /// input (bad JSON, missing/ill-typed id or method). When the line carried
 /// a recognizable id despite being malformed, `*id_out` receives it so the
 /// error response can still be correlated.
-[[nodiscard]] std::optional<RpcRequest> parse_request(const std::string& line,
+[[nodiscard]] std::optional<RpcRequest> parse_request(std::string_view line,
                                                       std::string* error,
                                                       std::uint64_t* id_out = nullptr);
 

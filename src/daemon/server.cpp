@@ -212,6 +212,7 @@ void DaemonServer::serve_connection(int fd) {
   using clock = std::chrono::steady_clock;
   const auto line_budget = std::chrono::milliseconds(opts_.idle_timeout_ms);
   std::string buffer;
+  std::size_t scanned = 0;  // bytes at the front of `buffer` known to hold no '\n'
   clock::time_point line_start{};  // first byte of the pending partial line
   char chunk[4096];
   bool severed = false;
@@ -228,10 +229,12 @@ void DaemonServer::serve_connection(int fd) {
     if (ARA_FAILPOINT("daemon.read").action == fi::Action::IoError) break;
     if (buffer.empty()) line_start = clock::now();
     buffer.append(chunk, static_cast<std::size_t>(n));
+    // Only the bytes this read added can end the pending line, so a long
+    // line arriving in many reads is scanned once.
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    for (std::size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, nl - start);
+      const std::string_view line(buffer.data() + start, nl - start);
       start = nl + 1;
       if (line.empty()) continue;
       if (line.size() > opts_.max_request_bytes) {
@@ -268,6 +271,7 @@ void DaemonServer::serve_connection(int fd) {
     }
     if (severed) break;
     buffer.erase(0, start);
+    scanned = buffer.size();
     // An incomplete request keeps growing or trickling: cap both its size
     // (framing DoS) and its age (slow-loris holding a worker hostage).
     if (!buffer.empty()) {
@@ -293,7 +297,7 @@ void DaemonServer::serve_connection(int fd) {
   ::close(fd);
 }
 
-std::string DaemonServer::handle_line(const std::string& line) {
+std::string DaemonServer::handle_line(std::string_view line) {
   // The request's spans go to a timeline of its own, dropped with the
   // reply: telemetry stays on for the daemon's whole life, so nothing
   // per-request may outlive the request.
@@ -305,7 +309,7 @@ std::string DaemonServer::handle_line(const std::string& line) {
 
   std::uint64_t id = 0;
   std::string parse_error;
-  const std::optional<RpcRequest> req = parse_request(line, &parse_error, &id);
+  std::optional<RpcRequest> req = parse_request(line, &parse_error, &id);
   if (!req.has_value()) {
     request_errors_.fetch_add(1);
     stat_request_errors.bump();
@@ -420,16 +424,21 @@ void DaemonServer::enforce_budget(const std::string& keep) {
   }
 }
 
-std::string DaemonServer::handle_analyze(const json::Value& params) {
+std::string DaemonServer::handle_analyze(json::Value& params) {
   const std::string name = param_string(params, "project", "default");
 
+  // The source texts move out of the request: they are most of its bytes.
+  const auto take_string = [](json::Value& object, std::string_view key) {
+    json::Value* v = object.find(key);
+    return v != nullptr && v->is_string() ? std::move(v->string) : std::string();
+  };
   std::vector<serve::SourceBuffer> sources;
-  if (const json::Value* list = params.find("sources"); list != nullptr && list->is_array()) {
-    for (const json::Value& s : list->array) {
+  if (json::Value* list = params.find("sources"); list != nullptr && list->is_array()) {
+    for (json::Value& s : list->array) {
       if (!s.is_object()) throw RequestError("'sources' entries must be objects");
       serve::SourceBuffer buf;
-      buf.name = param_string(s, "name");
-      buf.text = param_string(s, "text");
+      buf.name = take_string(s, "name");
+      buf.text = take_string(s, "text");
       const std::string lang = param_string(s, "lang", "fortran");
       buf.lang = (lang == "c" || lang == "C") ? Language::C : Language::Fortran;
       if (buf.name.empty()) throw RequestError("'sources' entries need a 'name'");
@@ -511,26 +520,29 @@ std::string DaemonServer::handle_query(const json::Value& params) {
   const std::shared_ptr<const serve::ProjectSnapshot> snap = state->snapshot();
   if (snap == nullptr) throw RequestError("project '" + name + "' has no completed analysis");
 
-  std::string text;
+  // The `.rgn` and the provenance JSONL are rendered from the snapshot on
+  // each request; the `.dgn` and `.cfg` are answered from its text.
+  std::string rendered;
+  const std::string* text = &rendered;
   if (artifact == "table") {
     if (array.empty()) {
-      text = rgn::render_table(snap->rows);
+      rendered = rgn::render_table(snap->rows);
     } else {
       std::vector<rgn::RegionRow> rows;
       if (const auto it = snap->rows_by_array.find(array); it != snap->rows_by_array.end()) {
         rows.reserve(it->second.size());
         for (const std::uint32_t i : it->second) rows.push_back(snap->rows[i]);
       }
-      text = rgn::render_table(rows);
+      rendered = rgn::render_table(rows);
     }
   } else if (artifact == "rgn") {
-    text = snap->rgn_text;
+    rendered = rgn::write_rgn(snap->rows);
   } else if (artifact == "dgn") {
-    text = snap->dgn_text;
+    text = &snap->dgn_text;
   } else if (artifact == "cfg") {
-    text = snap->cfg_text;
+    text = &snap->cfg_text;
   } else if (artifact == "provenance") {
-    text = snap->provenance_jsonl;
+    rendered = obs::write_provenance_jsonl(snap->provenance, name);
   } else {
     throw RequestError("unknown artifact '" + artifact +
                        "' (want table, rgn, dgn, cfg or provenance)");
@@ -540,7 +552,7 @@ std::string DaemonServer::handle_query(const json::Value& params) {
   os << "{\"project\":\"" << json::escape(name) << "\",\"generation\":" << snap->generation
      << ",\"ok\":" << (snap->ok ? "true" : "false")
      << ",\"partial\":" << (snap->partial ? "true" : "false") << ",\"text\":\""
-     << json::escape(text) << "\"}";
+     << json::escape(*text) << "\"}";
   return os.str();
 }
 

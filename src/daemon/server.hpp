@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "daemon/rpc.hpp"
@@ -118,7 +119,7 @@ class DaemonServer {
 
   /// One request line in, one response line out — the transport-free core,
   /// used directly by tests (no socket needed).
-  [[nodiscard]] std::string handle_line(const std::string& line);
+  [[nodiscard]] std::string handle_line(std::string_view line);
 
  private:
   void accept_loop();
@@ -129,7 +130,8 @@ class DaemonServer {
   /// `shutting_down` while draining). status/shutdown are always admitted.
   [[nodiscard]] std::optional<std::string> admit(const RpcRequest& req);
 
-  [[nodiscard]] std::string handle_analyze(const json::Value& params);
+  /// Moves the source texts out of `params`.
+  [[nodiscard]] std::string handle_analyze(json::Value& params);
   [[nodiscard]] std::string handle_query(const json::Value& params);
   [[nodiscard]] std::string handle_explain(const json::Value& params);
   [[nodiscard]] std::string handle_status();

@@ -167,25 +167,48 @@ std::string render_explain(const std::vector<ProvRecord>& records, const std::st
 
 std::string write_provenance_jsonl(const std::vector<ProvRecord>& records,
                                    std::string_view run_name) {
-  std::ostringstream os;
-  os << "{\"schema\": \"ara.prov.v1\", \"run\": \"" << json::escape(run_name)
-     << "\", \"records\": " << records.size() << "}\n";
+  std::string out;
+  out.reserve(64 + run_name.size() + records.size() * 160);
+  const auto field = [&out](std::string_view key, std::string_view value) {
+    if (value.empty()) return;
+    out += ", \"";
+    out += key;
+    out += "\": \"";
+    json::append_escaped(out, value);
+    out += '"';
+  };
+  out += "{\"schema\": \"ara.prov.v1\", \"run\": \"";
+  json::append_escaped(out, run_name);
+  out += "\", \"records\": ";
+  append_decimal(out, records.size());
+  out += "}\n";
   for (const ProvRecord& r : records) {
     if (r.unit == kLinkUnit) {
-      os << "{\"unit\": \"link\"";
+      out += "{\"unit\": \"link\"";
     } else {
-      os << "{\"unit\": " << r.unit;
+      out += "{\"unit\": ";
+      append_decimal(out, r.unit);
     }
-    os << ", \"seq\": " << r.seq << ", \"kind\": \"" << to_string(r.kind) << "\"";
-    if (!r.proc.empty()) os << ", \"proc\": \"" << json::escape(r.proc) << "\"";
-    if (!r.array.empty()) os << ", \"array\": \"" << json::escape(r.array) << "\"";
-    if (r.dim >= 0) os << ", \"dim\": " << r.dim;
-    if (!r.file.empty()) os << ", \"file\": \"" << json::escape(r.file) << "\"";
-    if (r.line != 0) os << ", \"line\": " << r.line;
-    if (!r.detail.empty()) os << ", \"detail\": \"" << json::escape(r.detail) << "\"";
-    os << "}\n";
+    out += ", \"seq\": ";
+    append_decimal(out, r.seq);
+    out += ", \"kind\": \"";
+    out += to_string(r.kind);
+    out += '"';
+    field("proc", r.proc);
+    field("array", r.array);
+    if (r.dim >= 0) {
+      out += ", \"dim\": ";
+      append_decimal(out, r.dim);
+    }
+    field("file", r.file);
+    if (r.line != 0) {
+      out += ", \"line\": ";
+      append_decimal(out, r.line);
+    }
+    field("detail", r.detail);
+    out += "}\n";
   }
-  return os.str();
+  return out;
 }
 
 std::string render_precision_json(int indent, std::span<const ProvRecord> causes) {

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <new>
 #include <sstream>
+#include <utility>
 
 #include "frontend/compile.hpp"
 #include "obs/provenance.hpp"
@@ -187,6 +188,19 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
   // summary is reused only if it imported exactly these shapes.
   const fe::GlobalImportTable import_index = build_global_index(sources);
 
+  // Warm state: the previous run's summaries leave `inc` now, and each
+  // unit takes at most one of them by name, so two sources with one name
+  // never share a summary. What a unit reuses it moves, what it cannot it
+  // drops; after the link `inc` gets exactly the summaries this run linked.
+  // An exception escaping in between leaves `inc` empty.
+  std::vector<std::map<std::string, ResidentUnit>::node_type> previous(sources.size());
+  if (inc != nullptr) {
+    std::map<std::string, ResidentUnit> resident = std::exchange(inc->resident, {});
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      previous[i] = resident.extract(sources[i].name);
+    }
+  }
+
   std::vector<std::optional<UnitSummary>> summaries(sources.size());
   std::vector<std::string> keys(sources.size());
   std::vector<char> resident_hit(sources.size(), 0);
@@ -248,23 +262,23 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
           stale = true;
           return false;
         };
-        // Warm in-memory state first (daemon): the summary is reused
-        // verbatim, no disk read, no deserialization.
-        if (inc != nullptr) {
-          const auto it = inc->resident.find(sources[i].name);
-          if (it != inc->resident.end() && it->second.key == keys[i] &&
-              current(it->second.summary)) {
-            events.record(i, obs::UnitEvent::CacheHit, "resident");
-            stat_resident_hits.bump();
-            resident_hit[i] = 1;
-            report.diagnostics = it->second.summary.diagnostics;
-            unit_prov[i] = it->second.summary.provenance;
-            for (obs::ProvRecord& p : unit_prov[i]) p.unit = static_cast<std::uint32_t>(i);
-            summaries[i] = it->second.summary;
-            report.status = UnitStatus::Cached;
-            events.record(i, obs::UnitEvent::Summarized, "resident");
-            return;
-          }
+        // Warm in-memory state first (daemon): the unit's entry is reused
+        // verbatim, no disk read, no deserialization, no copy, or else
+        // dropped. Its provenance is copied: the summary keeps it for the
+        // next run.
+        if (auto entry = std::move(previous[i]); !entry.empty() && entry.mapped().key == keys[i] &&
+                                                 current(entry.mapped().summary)) {
+          UnitSummary& resident = entry.mapped().summary;
+          events.record(i, obs::UnitEvent::CacheHit, "resident");
+          stat_resident_hits.bump();
+          resident_hit[i] = 1;
+          report.diagnostics = resident.diagnostics;
+          unit_prov[i] = resident.provenance;
+          for (obs::ProvRecord& p : unit_prov[i]) p.unit = static_cast<std::uint32_t>(i);
+          summaries[i] = std::move(resident);
+          report.status = UnitStatus::Cached;
+          events.record(i, obs::UnitEvent::Summarized, "resident");
+          return;
         }
         if (auto hit = cache.load(keys[i], current)) {
           // Replay the cached unit's rendered warnings byte-identically, so
@@ -356,16 +370,6 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
     }
   }
 
-  if (inc != nullptr) {
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-      if (summaries[i]) {
-        inc->resident[sources[i].name] = ResidentUnit{keys[i], *summaries[i]};
-      } else {
-        inc->resident.erase(sources[i].name);
-      }
-    }
-  }
-
   // Link the survivors (everyone, in the clean case), keeping texts
   // parallel to the summaries so diagnostics and the browser still line up.
   std::vector<UnitSummary> units;
@@ -400,6 +404,13 @@ BatchResult run_batch(const std::vector<SourceBuffer>& sources, const BatchOptio
   result.provenance.insert(result.provenance.end(),
                            std::make_move_iterator(link_prov.begin()),
                            std::make_move_iterator(link_prov.end()));
+  if (inc != nullptr) {
+    for (std::size_t k = 0; k < linked_indices.size(); ++k) {
+      const std::size_t i = linked_indices[k];
+      inc->resident.insert_or_assign(sources[i].name,
+                                     ResidentUnit{std::move(keys[i]), std::move(units[k])});
+    }
+  }
   for (const std::size_t i : linked_indices) events.record(i, obs::UnitEvent::Linked);
   result.events = events.take();
   result.ok = result.failed_units == 0 && result.link.ok;

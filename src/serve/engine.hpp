@@ -144,8 +144,9 @@ struct ResidentUnit {
 };
 
 /// Warm analysis state carried across run_batch calls on the same project:
-/// the last run's unit summaries, so a warm daemon never re-reads the disk
-/// cache for unchanged units.
+/// the summaries the last run linked, so a warm daemon never re-reads the
+/// disk cache for unchanged units. A unit that leaves the project leaves
+/// this state with the next run.
 struct IncrementalState {
   std::map<std::string, ResidentUnit> resident;  // unit name -> last summary
   /// Rough resident footprint (symbols + records + texts), for the daemon's
@@ -161,8 +162,10 @@ struct IncrementalState {
                                     const BatchOptions& opts, const std::string& name);
 
 /// As above, with caller-owned warm state (the daemon's per-project state).
-/// `inc` may be null; when non-null it is consulted for resident summaries
-/// and refreshed with this run's summaries after the batch.
+/// `inc` may be null. When non-null, its summaries move into the run (a
+/// unit reuses the one under its name, by move) and it ends up holding
+/// exactly the summaries this run linked, moved back after the link; it is
+/// left empty if an exception escapes.
 [[nodiscard]] BatchResult run_batch(const std::vector<SourceBuffer>& sources,
                                     const BatchOptions& opts, const std::string& name,
                                     IncrementalState* inc);

@@ -22,9 +22,8 @@ std::shared_ptr<const ProjectSnapshot> ProjectState::analyze(
   snap->invalidated_units = result.invalidated_units;
   snap->failed_units = result.failed_units;
   if (result.ok || result.partial) {
-    snap->rgn_text = rgn::write_rgn(result.link.rows);
     snap->dgn_text = rgn::write_dgn(result.link.project);
-    snap->cfg_text = result.link.cfg_text;
+    snap->cfg_text = std::move(result.link.cfg_text);
     snap->rows = std::move(result.link.rows);
     // Rows come grouped by array within a scope, so a name is lowered once
     // per run of rows, not once per row.
@@ -38,13 +37,11 @@ std::shared_ptr<const ProjectSnapshot> ProjectState::analyze(
     // Export order, (unit, seq): run_batch already emits it that way, the
     // sort pins the contract.
     obs::sort_provenance(result.provenance);
-    snap->provenance_jsonl = obs::write_provenance_jsonl(result.provenance, name_);
     snap->provenance = std::move(result.provenance);
   }
   snap->link_diagnostics = result.link.diags.render();
-  snap->resident_bytes = inc_.resident_bytes() + snap->rgn_text.size() +
-                         snap->dgn_text.size() + snap->cfg_text.size() +
-                         snap->provenance_jsonl.size() +
+  snap->resident_bytes = inc_.resident_bytes() + snap->dgn_text.size() +
+                         snap->cfg_text.size() +
                          snap->rows.size() * (sizeof(rgn::RegionRow) + 96) +
                          snap->rows.size() * sizeof(std::uint32_t) +
                          snap->rows_by_array.size() * (sizeof(std::string) + 64) +

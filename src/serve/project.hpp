@@ -22,9 +22,11 @@
 
 namespace ara::serve {
 
-/// Immutable result of one completed analysis. All export artifacts are
-/// pre-rendered text — byte-identical to what a cold batch `arac` run
-/// would write — so serving them is a string copy.
+/// Immutable result of one completed analysis: the rows and provenance
+/// records, and the `.dgn`/`.cfg` text. `query` renders the `.rgn` and the
+/// provenance JSONL from the rows and records when a client asks for them,
+/// byte-identical to what a cold batch `arac` run would write, so an
+/// analyze never pays for text no reply reads.
 struct ProjectSnapshot {
   bool ok = false;
   bool partial = false;
@@ -40,16 +42,15 @@ struct ProjectSnapshot {
   /// The indices into `rows` of each array's rows, in row order, keyed by
   /// lowercase array name: what a `query` for one array reads.
   std::unordered_map<std::string, std::vector<std::uint32_t>> rows_by_array;
-  std::string rgn_text;
   std::string dgn_text;
   std::string cfg_text;
-  std::string provenance_jsonl;
   std::vector<obs::ProvRecord> provenance;  // (unit, seq) merged order
   std::string link_diagnostics;
   /// Rough resident footprint of the project when this snapshot was
-  /// published (incremental state + snapshot text, rows and their index),
-  /// for the daemon's LRU memory budget. Recorded at publication so reading
-  /// it never waits on a running analysis.
+  /// published (incremental state, `.dgn`/`.cfg` text, rows, their index
+  /// and the provenance records), for the daemon's LRU memory budget.
+  /// Recorded at publication so reading it never waits on a running
+  /// analysis.
   std::size_t resident_bytes = 0;
 };
 

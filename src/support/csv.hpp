@@ -11,16 +11,9 @@
 
 namespace ara {
 
-class CsvWriter {
- public:
-  /// Appends one row; fields are escaped as needed.
-  void row(const std::vector<std::string>& fields);
-
-  [[nodiscard]] const std::string& str() const { return out_; }
-
- private:
-  std::string out_;
-};
+/// Appends `field` to `out` as one CSV field: verbatim, or in quotes with
+/// its quotes doubled when it holds ',', '"', '\n' or '\r'.
+void append_csv_field(std::string& out, std::string_view field);
 
 /// Parses CSV text into rows of fields. Handles quoted fields, embedded
 /// separators, escaped quotes ("") and both \n and \r\n line endings.

@@ -9,7 +9,18 @@ namespace ara::json {
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
+  append_escaped(out, s);
+  return out;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  // Bytes that need no escape are appended a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -26,17 +37,14 @@ std::string escape(std::string_view s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
-  return out;
+  out.append(s.data() + run, s.size() - run);
 }
 
 const Value* Value::find(std::string_view key) const {
@@ -190,12 +198,13 @@ class Parser {
     }
     std::string out;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      // Everything up to the next quote or backslash is one run.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') ++end;
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (pos_ >= text_.size()) break;
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) break;
       const char esc = text_[pos_++];
       switch (esc) {

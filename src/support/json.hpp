@@ -16,6 +16,9 @@ namespace ara::json {
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not added).
 [[nodiscard]] std::string escape(std::string_view s);
 
+/// escape(s), appended to `out`.
+void append_escaped(std::string& out, std::string_view s);
+
 struct Value {
   enum class Kind { Null, Bool, Number, String, Array, Object };
 
@@ -35,6 +38,9 @@ struct Value {
 
   /// Object member lookup (first match); nullptr when absent or not an object.
   [[nodiscard]] const Value* find(std::string_view key) const;
+  [[nodiscard]] Value* find(std::string_view key) {
+    return const_cast<Value*>(std::as_const(*this).find(key));
+  }
 };
 
 /// Parses one JSON value. Returns nullopt (and sets `error` with an offset-

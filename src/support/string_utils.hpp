@@ -1,6 +1,7 @@
 // Small string helpers used across the project.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -28,5 +29,14 @@ namespace ara {
 
 /// Parses the Mem_Loc hex format back to an integer; returns false on junk.
 [[nodiscard]] bool from_hex(std::string_view s, std::uint64_t& out);
+
+/// Appends the decimal digits of `value` to `out`: std::to_string's bytes
+/// without the temporary.
+template <typename Int>
+void append_decimal(std::string& out, Int value) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
 
 }  // namespace ara

@@ -209,10 +209,18 @@ TEST(ProvenanceJsonl, HeaderRecordsAndLinkUnit) {
 }
 
 TEST(ProvenanceJsonl, MatchesTheReferenceOnHandBuiltRecords) {
-  const std::vector<std::string> values = {
-      "",           "plain",         "say \"hi\"",     "back\\slash",   "tab\tnew\nline\rcr",
-      "\x01\x02\x1f",  std::string("nul\0inside", 10),  "\xc3\xa9t\xc3\xa9 \xe2\x82\xac", "/slash/",   "\x7f del",
-      "\"\\\"\\",       "\xff\xfe raw"};
+  const std::vector<std::string> values = {"",
+                                           "plain",
+                                           "say \"hi\"",
+                                           "back\\slash",
+                                           "tab\tnew\nline\rcr",
+                                           "\x01\x02\x1f",
+                                           std::string("nul\0inside", 10),
+                                           "\xc3\xa9t\xc3\xa9 \xe2\x82\xac",
+                                           "/slash/",
+                                           "\x7f del",
+                                           "\"\\\"\\",
+                                           "\xff\xfe raw"};
   std::vector<ProvRecord> records;
   for (std::size_t i = 0; i < values.size() * 2; ++i) {
     ProvRecord r;

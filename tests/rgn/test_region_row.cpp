@@ -200,9 +200,10 @@ TEST(RgnWriter, MatchesTheReferenceOnGeneratedPrograms) {
 }
 
 TEST(RgnWriter, MatchesTheReferenceOnFieldsThatNeedQuoting) {
-  const std::vector<std::string> values = {"",       ",",    "\"",     "\n",     "\r",
-                                           "a,b",    "say \"hi\"", "two\nlines", "cr\rlf\n",
-                                           "\"\"",   ",,",   "plain",  "n - 1|m, n", "\xc3\xa9t\xc3\xa9"};
+  const std::vector<std::string> values = {"",      ",",          "\"",        "\n",
+                                           "\r",    "a,b",        "say \"hi\"", "two\nlines",
+                                           "cr\rlf\n", "\"\"",       ",,",         "plain",
+                                           "n - 1|m, n", "\xc3\xa9t\xc3\xa9"};
   std::vector<RegionRow> rows;
   for (std::size_t i = 0; i < values.size(); ++i) {
     RegionRow r = sample_row();

@@ -8,12 +8,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "driver/compiler.hpp"
+#include "obs/provenance.hpp"
 #include "obs/stats.hpp"
 #include "obs/timeline.hpp"
 #include "rgn/dgn.hpp"
@@ -223,6 +225,109 @@ TEST(Batch, IncrementalReanalysisRecompilesOnlyTheEditedUnit) {
   std::iota(every.begin(), every.end(), std::size_t{0});
   expect_each_edit_reanalyzes_only_that_unit(lu, every,
                                              fs::temp_directory_path() / "ara_batch_incr_lu");
+}
+
+// ---- Warm state (IncrementalState): summaries move in and back out ----
+
+SourceBuffer leaf_unit(const std::string& name) {
+  const std::string proc = name.substr(0, name.find('.'));
+  return {name,
+          "subroutine " + proc + "(x)\n"
+          "  integer, dimension(1:40) :: x\n"
+          "  integer :: i\n"
+          "  do i = 1, 40\n"
+          "    x(i) = i\n"
+          "  end do\n"
+          "end subroutine " + proc + "\n",
+          Language::Fortran};
+}
+
+TEST(Batch, ResidentStateHoldsExactlyTheUnitsOfTheLastRun) {
+  // A unit renamed or deleted leaves the warm state with the next run, and
+  // its bytes leave the estimate the daemon's memory budget reads.
+  IncrementalState inc;
+  const BatchOptions opts;
+  ASSERT_TRUE(run_batch({leaf_unit("a.f"), leaf_unit("b.f")}, opts, "departed", &inc).ok);
+  EXPECT_EQ(inc.resident.size(), 2u);
+  EXPECT_EQ(inc.resident.count("b.f"), 1u);
+
+  const BatchResult renamed =
+      run_batch({leaf_unit("a.f"), leaf_unit("c.f")}, opts, "departed", &inc);
+  ASSERT_TRUE(renamed.ok);
+  EXPECT_EQ(renamed.resident_hits, 1u);
+  EXPECT_EQ(inc.resident.size(), 2u);
+  EXPECT_EQ(inc.resident.count("b.f"), 0u);
+  EXPECT_EQ(inc.resident.count("c.f"), 1u);
+  const std::size_t two_units = inc.resident_bytes();
+
+  const BatchResult deleted = run_batch({leaf_unit("a.f")}, opts, "departed", &inc);
+  ASSERT_TRUE(deleted.ok);
+  EXPECT_EQ(deleted.resident_hits, 1u);
+  EXPECT_EQ(inc.resident.size(), 1u);
+  EXPECT_EQ(inc.resident.count("a.f"), 1u);
+  EXPECT_LT(inc.resident_bytes(), two_units);
+}
+
+TEST(Batch, TwoSourcesWithOneNameGiveTheColdArtifactsWhenWarm) {
+  // Both units are called "p1.f"; each run hands the one resident summary
+  // under that name to one of them at most.
+  std::vector<SourceBuffer> sources = fig1_units();
+  sources[1].name = "p1.f";
+  const BatchOptions opts;
+  BatchResult cold = run_batch(sources, opts, "twins");
+  ASSERT_TRUE(cold.ok);
+  obs::sort_provenance(cold.provenance);
+  const Artifacts want = artifacts_of(cold);
+
+  IncrementalState inc;
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE(run);
+    BatchResult warm = run_batch(sources, opts, "twins", &inc);
+    ASSERT_TRUE(warm.ok);
+    obs::sort_provenance(warm.provenance);
+    const Artifacts got = artifacts_of(warm);
+    EXPECT_EQ(got.rgn, want.rgn);
+    EXPECT_EQ(got.dgn, want.dgn);
+    EXPECT_EQ(got.cfg, want.cfg);
+    EXPECT_EQ(obs::write_provenance_jsonl(warm.provenance, "twins"),
+              obs::write_provenance_jsonl(cold.provenance, "twins"));
+    EXPECT_EQ(inc.resident.size(), 2u);  // p1.f and add.f
+  }
+}
+
+TEST(Batch, WarmRunMovesResidentSummariesWithoutCopying) {
+  // A resident summary reused by a warm run is moved into the link and back
+  // into the warm state, never copied: its buffers stay where they were.
+  std::vector<SourceBuffer> sources = lu_units();
+  IncrementalState inc;
+  BatchOptions opts;
+  opts.jobs = 4;
+  ASSERT_TRUE(run_batch(sources, opts, "lu", &inc).ok);
+  ASSERT_EQ(inc.resident.size(), sources.size());
+  std::map<std::string, std::pair<const ProcSummary*, const SymInfo*>> buffers;
+  for (const auto& [name, unit] : inc.resident) {
+    ASSERT_FALSE(unit.summary.procs.empty()) << name;
+    ASSERT_FALSE(unit.summary.symbols.empty()) << name;
+    buffers[name] = {unit.summary.procs.data(), unit.summary.symbols.data()};
+  }
+
+  const BatchResult warm = run_batch(sources, opts, "lu", &inc);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_EQ(warm.resident_hits, sources.size());
+  for (const auto& [name, unit] : inc.resident) {
+    EXPECT_EQ(unit.summary.procs.data(), buffers.at(name).first) << name;
+    EXPECT_EQ(unit.summary.symbols.data(), buffers.at(name).second) << name;
+  }
+
+  // After an edit, every other unit still holds its buffers.
+  sources[5].text += "\n! edited\n";
+  const BatchResult edited = run_batch(sources, opts, "lu", &inc);
+  ASSERT_TRUE(edited.ok);
+  EXPECT_EQ(edited.resident_hits, sources.size() - 1);
+  for (const auto& [name, unit] : inc.resident) {
+    if (name == sources[5].name) continue;
+    EXPECT_EQ(unit.summary.procs.data(), buffers.at(name).first) << name;
+  }
 }
 
 TEST(Batch, FailedUnitReportsDiagnosticsInInputOrder) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 namespace ara::json {
 namespace {
 
@@ -109,6 +111,44 @@ TEST(Json, StringErrorsNameTheirOffset) {
   EXPECT_EQ(error_of(R"({"a)"), "offset 3: unterminated string");
   EXPECT_EQ(error_of(R"({a:1})"), "offset 1: expected string");
   EXPECT_EQ(error_of("\"" + std::string(5000, 'x')), "offset 5001: unterminated string");
+}
+
+/// The escaper byte for byte as it first shipped: one switch per character.
+std::string reference_escape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(Json, EscapeMatchesTheReferenceOnEveryByte) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    EXPECT_EQ(escape(one), reference_escape(one)) << c;
+    all += one;
+    all += "run of plain text ";
+  }
+  EXPECT_EQ(escape(all), reference_escape(all));
+  EXPECT_EQ(escape(""), "");
+  std::string out = "kept:";
+  append_escaped(out, "a\"b\n");
+  EXPECT_EQ(out, "kept:a\\\"b\\n");
 }
 
 TEST(Json, EscapeRoundTripsThroughParse) {
